@@ -226,6 +226,9 @@ struct JsonMetric {
   std::string metric;
   double mean = 0;
   double sd = 0;
+  // Measured with more threads than the host has CPUs: written out as
+  // "oversubscribed": true, so the row is not read as scaling.
+  bool oversubscribed = false;
 };
 
 inline std::string json_escape(const std::string& s) {
@@ -304,7 +307,9 @@ inline void write_bench_json(const BenchOptions& opts, bool ok,
     f << (i ? "," : "") << "\n    {\"suite\": \"" << json_escape(opts.suite)
       << "\", \"metric\": \"" << json_escape(metrics[i].metric)
       << "\", \"mean\": " << json_num(metrics[i].mean)
-      << ", \"sd\": " << json_num(metrics[i].sd) << "}";
+      << ", \"sd\": " << json_num(metrics[i].sd)
+      << (metrics[i].oversubscribed ? ", \"oversubscribed\": true" : "")
+      << "}";
   }
   f << "\n  ]";
   if (registry != nullptr && !registry->empty()) {

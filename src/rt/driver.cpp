@@ -86,9 +86,26 @@ FreeRunResult run_free(const FreeRunConfig& cfg) {
   };
 
   const int depth = cfg.num_locks == 1 ? 1 : cfg.outstanding;
+  bool limits_armed = false;  // site 0's thread only
   const auto poll = [&](SiteId s) -> bool {
     SiteDrv& d = drv[static_cast<size_t>(s)];
     mutex::MutexSite& site = *sites[static_cast<size_t>(s)];
+    if (s == 0 && !limits_armed) {
+      // The wall-clock limits are site-0 timers rather than checks in
+      // poll: a pump with nothing to do parks, and only a timer or a
+      // message wakes it.
+      limits_armed = true;
+      const auto us = [](double sec) { return static_cast<Time>(sec * 1e6); };
+      rtc.schedule_timeout(0, us(cfg.max_seconds), [&stop_issuing] {
+        stop_issuing.store(true, std::memory_order_release);
+      });
+      rtc.schedule_timeout(0, us(2 * cfg.max_seconds), [&timed_out, &rtc] {
+        // Hard abort: something wedged (this is a bug surface, not a
+        // tuning knob). Pumps exit; the result reports the failure.
+        timed_out.store(true, std::memory_order_release);
+        rtc.request_stop();
+      });
+    }
     while (!d.entered.empty()) {
       const LockId lock = d.entered.front();
       d.entered.pop_front();
@@ -110,17 +127,6 @@ FreeRunResult run_free(const FreeRunConfig& cfg) {
         if (!site.idle(lock)) continue;
         site.request_cs(lock);
         ++d.in_service;
-      }
-    }
-    if (s == 0) {
-      const double t = elapsed();
-      if (t > cfg.max_seconds)
-        stop_issuing.store(true, std::memory_order_release);
-      if (t > 2 * cfg.max_seconds && !timed_out.load()) {
-        // Hard abort: something wedged (this is a bug surface, not a
-        // tuning knob). Pumps exit; the result reports the failure.
-        timed_out.store(true, std::memory_order_release);
-        rtc.request_stop();
       }
     }
     return stop_issuing.load(std::memory_order_acquire) &&

@@ -26,18 +26,30 @@
 // crash(id), messages from the dead site are dropped at send and messages
 // toward it (or from it, already in flight) are dropped at delivery.
 //
+// Waiting: a pump with nothing due parks on its rt::Doorbell instead of
+// spinning (see run()), and producers ring it when they publish work due
+// before what it waits for.
+//
 // Observability: with RuntimeOptions::obs_feed, every delivery and crash is
-// recorded into the receiving site's shard, stamped by one global
-// sequentially-consistent counter (span edges join the feed through
-// record_span). After the run quiesces, replay_into() merges the shards by
-// stamp — a total order consistent with real time and with every site's
-// local order — and replays it through an obs::InvariantChecker, so the
-// PR-3 invariants are checked against what the concurrent execution
-// actually did.
+// recorded into the receiving site's shard (span edges join the feed
+// through record_span). Each step a pump runs — one delivery's handler, one
+// timer, one poll — takes one stamp from a global sequentially-consistent
+// counter at its first send or event (after its input message was popped);
+// the events the step records share that stamp and keep their order.
+// After the run quiesces, replay_into() merges the shards by (stamp, order)
+// and replays them through an obs::InvariantChecker. The merged order runs
+// each step atomically at its stamp, which is consistent with every site's
+// local order and with causality: a step that pops a message stamps after
+// the step that sent it did. Self-addressed deliveries are recorded at
+// the send, inside the sending step, matching the simulator's immediate
+// self-delivery; a wire message sent earlier in the same step can never be
+// merged ahead of them.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -49,6 +61,7 @@
 #include "common/types.h"
 #include "net/executor.h"
 #include "net/message.h"
+#include "rt/doorbell.h"
 #include "rt/spsc_ring.h"
 
 namespace dqme::obs {
@@ -72,8 +85,9 @@ struct RuntimeOptions {
   // Self-addressed (src == dst) messages are exempt, matching the
   // simulator's immediate self-delivery (several invariants — e.g. the
   // arbiter's self-release racing its next grant — assume it). The
-  // consumer gates on the timestamp; nothing sleeps, so per-channel FIFO
-  // and the quiescence protocol are unchanged.
+  // consumer gates on the timestamp, so per-channel FIFO and the
+  // quiescence protocol are unchanged; its pump parks until the head
+  // message is due.
   uint64_t wire_delay_us = 0;
 };
 
@@ -88,6 +102,13 @@ struct RuntimeStats {
   uint64_t dropped_at_crashed = 0;
   uint64_t spilled_messages = 0;  // overflowed the ring into the spill queue
   uint64_t payloads_acquired = 0;
+  // Pump parking (run()): parks taken, wall time spent parked, parked
+  // pumps woken by a producer or by quiescence, and timed parks that woke
+  // after the work they waited for was due.
+  uint64_t parks = 0;
+  uint64_t parked_us = 0;
+  uint64_t wakeups_sent = 0;
+  uint64_t late_wakes = 0;
 };
 
 class Runtime final : public net::Executor {
@@ -144,9 +165,15 @@ class Runtime final : public net::Executor {
   // poll returns true once the site's workload is complete; threads exit
   // when every site is done and in_flight() == 0. A site stays in its pump
   // after reporting done — it still serves arbiter duties for others.
+  //
+  // Between passes that deliver nothing, a pump spins or parks until its
+  // earliest known due instant or until rung (wait_for_work()). poll
+  // therefore runs after every wake, not continuously: it must not wait on
+  // state that other threads change without sending this site a message.
   void run(const std::function<bool(SiteId)>& poll);
-  // Aborts run(): pump threads exit at their next iteration.
-  void request_stop() { stop_.store(true, std::memory_order_release); }
+  // Aborts run(): pump threads exit at their next iteration, parked ones
+  // included.
+  void request_stop();
   bool stop_requested() const {
     return stop_.load(std::memory_order_acquire);
   }
@@ -219,7 +246,8 @@ class Runtime final : public net::Executor {
       kDeliver = 4,
       kCrash = 5,
     };
-    uint64_t stamp = 0;
+    uint64_t stamp = 0;  // of the step that recorded it
+    uint32_t order = 0;  // within that step
     net::Message m;
     SpanId span = kNoSpan;
     Time at = 0;
@@ -228,16 +256,95 @@ class Runtime final : public net::Executor {
     uint8_t kind = kDeliver;
   };
 
+  // Per-site pump state. Producers ring `bell`; everything else is touched
+  // only by the site's own thread (stats() reads the counters relaxed).
+  struct Pump {
+    Doorbell bell;  // its own cache line
+    // Producer side: destinations published to during the current pass,
+    // each with the earliest instant its new work is due.
+    std::vector<SiteId> touched;
+    std::vector<int64_t> touched_due;  // per destination; kForever = none
+    // Consumer side, from timed parks: lateness = actual wake - requested
+    // wake, in ns. `margin` is its decayed maximum (the spin margin kept
+    // before a deadline), `cost` its running mean (what one park adds). A
+    // sample counts for at most twice the current estimate, so one wake
+    // delayed by a preemption nudges them rather than resetting them, while
+    // a slow host still doubles them sample by sample. Both halve per 2^26
+    // ns (~67 ms) without samples, so a pump pushed to spinning by a slow
+    // episode tries parking again once it is over.
+    double margin = 0;
+    double cost = 0;
+    int64_t late_at = 0;
+    void decay_to(int64_t t) {
+      const double k = std::exp2(static_cast<double>(late_at - t) /
+                                 static_cast<double>(int64_t{1} << 26));
+      margin *= k;
+      cost *= k;
+      late_at = t;
+    }
+    void observe_late(int64_t late, int64_t t) {
+      decay_to(t);
+      const auto s = static_cast<double>(late);
+      if (cost == 0) {
+        margin = cost = s;
+        return;
+      }
+      const double cap = 2 * std::max(margin, cost);
+      margin = std::max(margin, std::min(s, cap));
+      cost += (std::min(s, cap) - cost) / 8;
+    }
+    // Observability step in progress (obs_feed only). The stamp is drawn
+    // at the step's first send or event: nothing the step did before that
+    // could be seen by another site.
+    bool step_stamped = false;
+    uint64_t step_stamp = 0;
+    uint32_t step_order = 0;
+    std::atomic<uint64_t> parks{0};
+    std::atomic<uint64_t> parked_ns{0};
+    std::atomic<uint64_t> wakeups_sent{0};
+    std::atomic<uint64_t> late_wakes{0};
+  };
+
   Channel& chan(SiteId src, SiteId dst) {
     return channels_[static_cast<size_t>(src) * static_cast<size_t>(n_) +
                      static_cast<size_t>(dst)];
   }
+  int64_t now_ns() const {
+    return std::chrono::duration_cast<std::chrono::nanoseconds>(
+               std::chrono::steady_clock::now() - start_)
+        .count();
+  }
   void enqueue(SiteId src, SiteId dst, const WireSlot& slot);
+  void touch(SiteId src, SiteId dst, const WireSlot& slot);
+  // The pump loop of run() and its waiting policy.
+  void pump(SiteId me, const std::function<bool(SiteId)>& poll);
+  void ring_touched(SiteId me);
+  void ring_all(SiteId by);
+  bool quiescent() const {
+    return done_sites_.load(std::memory_order_seq_cst) == n_ &&
+           in_flight_.load(std::memory_order_seq_cst) == 0;
+  }
+  // Earliest instant (ns) anything of `me`'s can become due: 0 when work
+  // is pending now, Doorbell::kForever when nothing is known.
+  int64_t next_due(SiteId me);
+  bool inbound_unscanned(SiteId me);
+  void wait_for_work(SiteId me, int64_t& idle_since);
+  void park(SiteId me, int64_t due, int64_t wake_at);
+  void begin_step(SiteId site) {
+    if (opts_.obs_feed) pumps_[static_cast<size_t>(site)].step_stamped = false;
+  }
+  void stamp_step(Pump& p) {
+    if (p.step_stamped) return;
+    p.step_stamped = true;
+    p.step_stamp = next_stamp();
+    p.step_order = 0;
+  }
   // Resolves one popped slot on dst's thread: crash-drop or deliver.
   // Returns true when it was delivered.
   bool dispatch(SiteId dst, const WireSlot& slot);
   void release_payload(net::PayloadId id);
   void record_deliver(SiteId dst, const net::Message& m, LockId lock);
+  void record(SiteId site, ObsEvent e);
   uint64_t next_stamp() {
     // seq_cst: the stamp order must be consistent with real time across
     // threads — this is what makes the merged replay a faithful
@@ -252,6 +359,7 @@ class Runtime final : public net::Executor {
 
   std::vector<Channel> channels_;  // n*n, index src*n + dst
   std::vector<net::NetSite*> sites_;
+  std::vector<Pump> pumps_;
   std::vector<std::atomic<bool>> alive_;
   std::vector<std::vector<Timer>> timers_;  // per-site heap (owner thread)
   std::vector<uint64_t> timer_seq_;
@@ -275,7 +383,7 @@ class Runtime final : public net::Executor {
 
   // Observability feed: per-site shards written only by the owning thread;
   // crash events (which may come from any thread) go to the mutex-guarded
-  // extra shard. Merged by stamp in replay_into().
+  // extra shard. Merged by (stamp, order) in replay_into().
   std::atomic<uint64_t> obs_stamp_{0};
   std::vector<std::vector<ObsEvent>> obs_shards_;
   std::mutex obs_extra_mu_;

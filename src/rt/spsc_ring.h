@@ -71,10 +71,17 @@ class SpscRing {
 
   // Consumer-side emptiness probe (exact for the consumer: only it moves
   // head_, and a false "empty" can only mean the producer published later).
+  // The tail load is seq_cst so that it pairs with republish().
   bool empty() const {
     return head_.load(std::memory_order_relaxed) ==
-           tail_.load(std::memory_order_acquire);
+           tail_.load(std::memory_order_seq_cst);
   }
+
+  // Producer side: re-publishes the tail with a seq_cst read-modify-write,
+  // ordering every push so far before the caller's later seq_cst loads —
+  // the producer half of rt::Doorbell's park/publish pair (rt/doorbell.h),
+  // whose consumer half arms its doorbell and then calls empty().
+  void republish() { tail_.fetch_add(0, std::memory_order_seq_cst); }
 
  private:
   std::vector<T> slots_;

@@ -171,6 +171,11 @@ int rt_backend_main(int argc, char** argv) {
                Table::integer(r.stats.delivered_messages)});
   out.add_row({"ring overflows (spilled)",
                Table::integer(r.stats.spilled_messages)});
+  out.add_row({"pump parks", Table::integer(r.stats.parks)});
+  out.add_row({"pump time parked (us)", Table::integer(r.stats.parked_us)});
+  out.add_row({"parked pumps woken", Table::integer(r.stats.wakeups_sent)});
+  out.add_row({"late wakes (timed park past due)",
+               Table::integer(r.stats.late_wakes)});
   if (cfg.check) {
     out.add_row({"safety probe violations",
                  Table::integer(r.probe_violations)});
