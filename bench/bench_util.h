@@ -17,7 +17,6 @@
 
 #include <unistd.h>
 
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -331,40 +330,5 @@ inline void write_bench_json(const BenchOptions& opts, bool ok,
   f << "\n}\n";
   std::cout << "  [json] wrote " << opts.json_path << "\n";
 }
-
-// Minimal flags + JSON plumbing for suites not yet ported to bench::Runner
-// (follow-up: port them row-by-row like e1/e3/e7). --quick takes effect
-// through the heavy()/open_load() builders; --jobs/--seeds are accepted
-// for CLI uniformity but only sweep-based suites use them; --json records
-// suite, ok, wall_ms (no per-metric rows until the port).
-class SuiteGuard {
- public:
-  SuiteGuard(int& argc, char** argv, const std::string& suite)
-      : opts_(parse_bench_flags(argc, argv, suite)),
-        start_(std::chrono::steady_clock::now()) {
-    reject_extra_args(argc, argv, suite);
-  }
-
-  const BenchOptions& options() const { return opts_; }
-
-  // Honors --trace-out for unported suites: call once with the suite's
-  // representative config (no-op unless the flag was given).
-  void trace(const harness::ExperimentConfig& cfg) const {
-    maybe_write_trace(opts_, cfg);
-  }
-
-  // Call as the last statement of main: emits JSON, returns the exit code.
-  int finish(bool ok) const {
-    const double wall_ms = std::chrono::duration<double, std::milli>(
-                               std::chrono::steady_clock::now() - start_)
-                               .count();
-    write_bench_json(opts_, ok, wall_ms, 0, {});
-    return ok ? 0 : 1;
-  }
-
- private:
-  BenchOptions opts_;
-  std::chrono::steady_clock::time_point start_;
-};
 
 }  // namespace dqme::bench

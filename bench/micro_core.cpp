@@ -3,19 +3,15 @@
 // simulator's own cost so experiment runtimes are attributable to protocol
 // behaviour, not harness overhead.
 //
-// The headline section compares the slab-allocated event store against the
-// seed implementation (std::priority_queue + std::unordered_map of
-// std::function), kept here verbatim as `BaselineSimulator`, on a
+// The headline section measures the slab-allocated event store on a
 // protocol-shaped churn load (timer chains + cancelled timeouts with
-// network-sized captures). Results land in BENCH_micro_core.json via
-// --json so the events/sec trajectory is tracked from this commit onward.
-// The google-benchmark suite still runs afterwards (skipped under --quick).
+// network-sized captures), then whole saturated experiments per algorithm.
+// Results land in BENCH_micro_core.json via --json so the events/sec
+// trajectory is tracked across commits. The google-benchmark suite still
+// runs afterwards (skipped under --quick).
 #include <benchmark/benchmark.h>
 
 #include <chrono>
-#include <functional>
-#include <queue>
-#include <unordered_map>
 
 #include "net/network.h"
 #include "core/cao_singhal.h"
@@ -27,70 +23,12 @@ namespace {
 
 using namespace dqme;
 
-// --- the seed event store, frozen for before/after comparison ---------
-
-class BaselineSimulator {
- public:
-  using Callback = std::function<void()>;
-  using EventId = uint64_t;
-
-  Time now() const { return now_; }
-
-  EventId schedule_at(Time when, Callback fn) {
-    EventId id = next_id_++;
-    heap_.push(Entry{when, id});
-    callbacks_.emplace(id, std::move(fn));
-    return id;
-  }
-  EventId schedule_after(Time delay, Callback fn) {
-    return schedule_at(now_ + delay, std::move(fn));
-  }
-  bool cancel(EventId id) { return callbacks_.erase(id) > 0; }
-
-  bool step() {
-    while (!heap_.empty() && !callbacks_.contains(heap_.top().id))
-      heap_.pop();
-    if (heap_.empty()) return false;
-    Entry e = heap_.top();
-    heap_.pop();
-    auto it = callbacks_.find(e.id);
-    Callback fn = std::move(it->second);
-    callbacks_.erase(it);
-    now_ = e.when;
-    ++executed_;
-    fn();
-    return true;
-  }
-  uint64_t run() {
-    uint64_t n = 0;
-    while (step()) ++n;
-    return n;
-  }
-  uint64_t events_executed() const { return executed_; }
-
- private:
-  struct Entry {
-    Time when;
-    EventId id;
-    bool operator<(const Entry& other) const {
-      if (when != other.when) return when > other.when;
-      return id > other.id;
-    }
-  };
-  Time now_ = 0;
-  EventId next_id_ = 1;
-  uint64_t executed_ = 0;
-  std::priority_queue<Entry> heap_;
-  std::unordered_map<EventId, Callback> callbacks_;
-};
-
 // Protocol-shaped churn: every fired event re-arms itself (a timer chain,
 // like workload think-time and delivery events) carrying a network-sized
 // capture, and arms a timeout that is then cancelled before firing (like
 // retransmit / failure-detection timers) — the cancel-heavy pattern the
 // tombstone compaction exists for. The chain closure captures 40 bytes,
-// the size class of a real delivery closure: inline in the slab store,
-// one heap allocation per event in the seed's std::function store.
+// the size class of a real delivery closure: inline in the slab store.
 struct ChurnPayload {  // ~ what a delivery closure carries
   void* net;
   uint64_t flight;
@@ -98,12 +36,11 @@ struct ChurnPayload {  // ~ what a delivery closure carries
   uint64_t salt;
 };
 
-template <typename Sim>
 struct Churner {
-  Sim& sim;
+  sim::Simulator& sim;
   uint64_t target;
   uint64_t fired = 0;
-  typename Sim::EventId timeout{};
+  sim::Simulator::EventId timeout{};
   bool has_timeout = false;
 
   void arm() {
@@ -121,19 +58,17 @@ struct Churner {
   }
 };
 
-template <typename Sim>
-uint64_t churn(Sim& sim, uint64_t target_events) {
-  Churner<Sim> c{sim, target_events};
+uint64_t churn(sim::Simulator& sim, uint64_t target_events) {
+  Churner c{sim, target_events};
   c.arm();
   sim.run();
   return c.fired;
 }
 
-template <typename Sim>
 double measure_events_per_sec(uint64_t events, int repeats) {
   double best = 0;
   for (int i = 0; i < repeats; ++i) {
-    Sim sim;
+    sim::Simulator sim;
     const auto start = std::chrono::steady_clock::now();
     const uint64_t fired = churn(sim, events);
     const double secs = std::chrono::duration<double>(
@@ -197,15 +132,6 @@ void BM_SimulatorChurn(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 100000);
 }
 BENCHMARK(BM_SimulatorChurn);
-
-void BM_BaselineSimulatorChurn(benchmark::State& state) {
-  for (auto _ : state) {
-    BaselineSimulator sim;
-    benchmark::DoNotOptimize(churn(sim, 100000));
-  }
-  state.SetItemsProcessed(state.iterations() * 100000);
-}
-BENCHMARK(BM_BaselineSimulatorChurn);
 
 void BM_NetworkSendDeliver(benchmark::State& state) {
   struct Sink final : net::NetSite {
@@ -277,11 +203,7 @@ int main(int argc, char** argv) {
   const auto wall_start = std::chrono::steady_clock::now();
   const uint64_t events = opts.quick ? 200'000 : 1'000'000;
   const int repeats = opts.quick ? 2 : 3;
-  const double slab =
-      measure_events_per_sec<dqme::sim::Simulator>(events, repeats);
-  const double baseline =
-      measure_events_per_sec<BaselineSimulator>(events, repeats);
-  const double speedup = slab / baseline;
+  const double slab = measure_events_per_sec(events, repeats);
 
   // End-to-end: one saturated simulated second per algorithm, fixed N and
   // seed. cao_singhal is the headline row (e2e_events_per_sec, the number
@@ -359,14 +281,10 @@ int main(int argc, char** argv) {
                              std::chrono::steady_clock::now() - wall_start)
                              .count();
 
-  std::cout << "micro_core — slab event store vs seed implementation ("
-            << events << "-event churn, best of " << repeats << ")\n"
+  std::cout << "micro_core — slab event store (" << events
+            << "-event churn, best of " << repeats << ")\n"
             << "  slab:     " << dqme::harness::Table::num(slab / 1e6, 2)
             << "M events/s\n"
-            << "  baseline: " << dqme::harness::Table::num(baseline / 1e6, 2)
-            << "M events/s\n"
-            << "  speedup:  " << dqme::harness::Table::num(speedup, 2)
-            << "x\n"
             << "  end-to-end experiment (best of " << e2e_repeats << "):\n";
   for (const E2eRow& row : e2e_rows)
     std::cout << "    " << row.name << ": "
@@ -383,10 +301,8 @@ int main(int argc, char** argv) {
             << dqme::harness::Table::num(flight_recycle_rate, 4) << "\n";
 
   dqme::bench::write_bench_json(
-      opts, speedup > 1.0, wall_ms, slab,
+      opts, slab > 0, wall_ms, slab,
       {{"events_per_sec_slab", slab, 0},
-       {"events_per_sec_baseline", baseline, 0},
-       {"slab_speedup", speedup, 0},
        {"e2e_events_per_sec", e2e_eps, 0},
        {"e2e_events_per_sec_cao_singhal", e2e_rows[0].eps, 0},
        {"e2e_events_per_sec_maekawa", e2e_rows[1].eps, 0},

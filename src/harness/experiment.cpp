@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cmath>
 
-#include "harness/permission_auditor.h"
 #include "harness/sweep.h"
 #include "obs/flight_recorder.h"
 #include "obs/invariants.h"
@@ -130,8 +129,8 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
   if (cfg.lock_piggyback_window >= 0)
     network.set_lock_piggyback(cfg.lock_piggyback_window);
 
-  // Observability capture (opt-in): both recorders chain on_deliver, so
-  // they coexist with the auditor and each other.
+  // Observability capture (opt-in). Every observer below subscribes
+  // independently, so each sees every edge whatever the attach order.
   std::unique_ptr<net::TraceRecorder> msg_rec;
   std::unique_ptr<obs::SpanRecorder> span_rec;
   if (cfg.capture != nullptr)
@@ -144,15 +143,6 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
     if (cfg.capture != nullptr && cfg.capture->capacity > cap)
       cap = cfg.capture->capacity;
     span_rec = std::make_unique<obs::SpanRecorder>(network, cap);
-  }
-
-  std::unique_ptr<PermissionAuditor> auditor;
-  if (cfg.audit_permissions) {
-    DQME_CHECK_MSG(cfg.crashes.empty(),
-                   "the permission auditor is not crash-aware");
-    DQME_CHECK_MSG(mutex::algo_uses_quorum(cfg.algo),
-                   "permission auditing is for quorum algorithms");
-    auditor = std::make_unique<PermissionAuditor>(network);
   }
 
   std::unique_ptr<quorum::QuorumSystem> quorums;
@@ -171,8 +161,6 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
 
   if (span_rec) span_rec->attach_all(sites);
 
-  // Invariant checker last, so it chains in front of the recorders and sees
-  // every delivery, and keeps an attached SpanRecorder as its downstream.
   std::unique_ptr<obs::InvariantChecker> checker;
   if (cfg.check_invariants) {
     obs::InvariantOptions iopts;
@@ -287,10 +275,6 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
   }
   res.sync_delay_in_t = res.summary.sync_delay_contended /
                         static_cast<double>(cfg.mean_delay);
-  if (auditor) {
-    res.permission_violations = auditor->violations();
-    res.permission_grants_audited = auditor->grants_audited();
-  }
   if (checker) {
     checker->finish(sim.now());
     res.invariant_violations = checker->violations();
@@ -416,12 +400,6 @@ std::vector<ExperimentResult> replicate(const ExperimentConfig& cfg,
   SweepOptions opts;
   opts.jobs = jobs;
   return SweepRunner(opts).run(expand_seeds(cfg, replications));
-}
-
-Replicated replicate(const ExperimentConfig& cfg, int replications,
-                     const std::function<double(const ExperimentResult&)>&
-                         metric) {
-  return aggregate(replicate(cfg, replications), metric);
 }
 
 }  // namespace dqme::harness

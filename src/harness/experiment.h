@@ -54,15 +54,11 @@ struct ExperimentConfig {
   Time detection_latency = 2000;
   Time detection_jitter = 500;
 
-  // Attach the independent per-arbiter permission auditor (quorum
-  // algorithms, crash-free runs only — the auditor is not crash-aware).
-  bool audit_permissions = false;
-
-  // Attach the online invariant checker (obs::InvariantChecker): safety,
-  // transfer-obligation conservation, FIFO, and the liveness watchdog run
-  // alongside the protocol; violations land in invariant_* below and fail
-  // SweepRunner integrity checks. Crash-aware, so it composes with
-  // `crashes` where audit_permissions does not.
+  // Attach the online invariant checker (obs::InvariantChecker): safety
+  // (CS exclusion and the per-arbiter permission ledger), transfer-
+  // obligation conservation, FIFO, and the liveness watchdog run alongside
+  // the protocol; violations land in invariant_* below and fail SweepRunner
+  // integrity checks. Crash-aware, so it composes with `crashes`.
   bool check_invariants = false;
   // Watchdog bound in ticks; 0 picks one from the run's scale (generous
   // enough that the longest legal saturated wait stays quiet).
@@ -120,10 +116,6 @@ struct ExperimentResult {
   // Convenience: synchronization delay in units of T.
   double sync_delay_in_t = 0;
 
-  // Permission-auditor results (when ExperimentConfig::audit_permissions).
-  uint64_t permission_violations = 0;
-  uint64_t permission_grants_audited = 0;
-
   // Invariant-checker results (when ExperimentConfig::check_invariants).
   // reports holds up to 16 human-readable violation descriptions.
   uint64_t invariant_violations = 0;
@@ -170,12 +162,5 @@ struct Replicated {
 // replication throws.
 std::vector<ExperimentResult> replicate(const ExperimentConfig& cfg,
                                         int replications, int jobs = 1);
-
-// Deprecated shim (pre-SweepRunner API): one metric, aggregated. Equivalent
-// to aggregate(replicate(cfg, replications), metric); new code should call
-// those directly so one sweep can feed many metrics.
-Replicated replicate(const ExperimentConfig& cfg, int replications,
-                     const std::function<double(const ExperimentResult&)>&
-                         metric);
 
 }  // namespace dqme::harness

@@ -29,12 +29,13 @@
 
 namespace dqme::mutex {
 
-// Observability hook (implemented by obs::SpanRecorder): protocols report
-// the span-boundary instants of each CS request attempt, keyed by the lock
-// it targets (span ids are derived from (site, seq) and can collide across
-// locks — (lock, site, span) is the unique key). The null default costs
-// one predicted branch per boundary — requests, not messages — so detached
-// runs keep the slab hot path intact.
+// Observability hook (obs::SpanRecorder, obs::InvariantChecker, the rt
+// taps): protocols report the span-boundary instants of each CS request
+// attempt, keyed by the lock it targets (span ids are derived from (site,
+// seq) and can collide across locks — (lock, site, span) is the unique
+// key). With no observer subscribed a boundary costs one predicted
+// empty-list branch — per request, not per message — so detached runs keep
+// the slab hot path intact.
 class SpanObserver {
  public:
   virtual ~SpanObserver() = default;
@@ -90,18 +91,23 @@ class MutexSite : public net::NetSite {
     DQME_CHECK_MSG(in_cs(lock), "site " << id_ << " is not in the CS");
     LockState& L = lk(lock);
     L.state = State::kIdle;
-    if (span_observer_)
-      span_observer_->on_span_exit(id_, lock, L.active_span, now());
+    emit<&SpanObserver::on_span_exit>(lock, L.active_span);
     do_release(lock);
     L.active_span = kNoSpan;
   }
 
-  // Attach-time observability (src/obs): record the causal span edges of
-  // every request this site issues. Re-attaching replaces the observer; a
-  // new observer that wants to coexist (obs::InvariantChecker) reads the
-  // current one first and forwards to it.
-  void attach_span_observer(SpanObserver* obs) { span_observer_ = obs; }
-  SpanObserver* span_observer() const { return span_observer_; }
+  // Attach-time observability (src/obs): `obs` sees the span edges of
+  // every request this site issues from now on. Append-only — every
+  // subscribed observer sees every edge, in subscription order, so
+  // observers need not know about each other. Subscribing one twice is a
+  // bug (it would see each edge twice).
+  void add_span_observer(SpanObserver* obs) {
+    DQME_CHECK(obs != nullptr);
+    for (const SpanObserver* o : span_observers_)
+      DQME_CHECK_MSG(o != obs,
+                     "span observer subscribed twice to site " << id_);
+    span_observers_.push_back(obs);
+  }
   // Span of the in-flight request attempt on `lock`; kNoSpan when idle (or
   // for protocols that do not thread spans yet).
   SpanId active_span(LockId lock) const { return lk(lock).active_span; }
@@ -147,8 +153,7 @@ class MutexSite : public net::NetSite {
     LockState& L = lk(lock);
     L.state = State::kInCS;
     ++L.cs_entries;
-    if (span_observer_)
-      span_observer_->on_span_enter(id_, lock, L.active_span, now());
+    emit<&SpanObserver::on_span_enter>(lock, L.active_span);
     if (on_enter) on_enter(id_, lock);
   }
 
@@ -157,7 +162,7 @@ class MutexSite : public net::NetSite {
   // recovery that restarts on a fresh quorum opens a fresh span.
   void open_span(LockId lock, SpanId span) {
     lk(lock).active_span = span;
-    if (span_observer_) span_observer_->on_span_issue(id_, lock, span, now());
+    emit<&SpanObserver::on_span_issue>(lock, span);
   }
 
   // Subclasses set this just before the enter_cs() a grant produces.
@@ -176,8 +181,7 @@ class MutexSite : public net::NetSite {
     DQME_CHECK(requesting(lock));
     LockState& L = lk(lock);
     L.state = State::kIdle;
-    if (span_observer_)
-      span_observer_->on_span_abort(id_, lock, L.active_span, now());
+    emit<&SpanObserver::on_span_abort>(lock, L.active_span);
     L.active_span = kNoSpan;
     if (on_abort) on_abort(id_, lock);
   }
@@ -208,6 +212,14 @@ class MutexSite : public net::NetSite {
   };
 
   Time now() const { return net_.now(); }
+  // Fans one span edge out to every subscribed observer, all stamped with
+  // the same instant.
+  template <void (SpanObserver::*Edge)(SiteId, LockId, SpanId, Time)>
+  void emit(LockId lock, SpanId span) {
+    if (span_observers_.empty()) return;
+    const Time at = now();
+    for (SpanObserver* o : span_observers_) (o->*Edge)(id_, lock, span, at);
+  }
   LockState& lk(LockId lock) {
     DQME_CHECK_MSG(0 <= lock && lock < num_locks(),
                    "LockId " << lock << " outside dense range 0.."
@@ -226,7 +238,7 @@ class MutexSite : public net::NetSite {
   std::vector<LockState> locks_;
   uint64_t stale_drops_ = 0;
   std::array<uint64_t, net::kNumMsgTypes> stale_by_type_{};
-  SpanObserver* span_observer_ = nullptr;
+  std::vector<SpanObserver*> span_observers_;
 };
 
 }  // namespace dqme::mutex

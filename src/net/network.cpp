@@ -235,9 +235,9 @@ void Network::stage(SiteId src, SiteId dst, uint32_t flight) {
 void Network::deliver_flight(uint32_t idx) {
   // Receivers send messages from inside on_message, which can grow
   // flights_ and invalidate references — copy the inline messages out (a
-  // memcpy) before touching any handler. The hook branch resolves once per
-  // flight: a detached run never tests the std::function per message.
-  const bool hooked = static_cast<bool>(on_deliver);
+  // memcpy) before touching any handler. The subscriber branch resolves once
+  // per flight: a detached run never tests the list per message.
+  const bool hooked = !deliver_subs_.empty();
   const uint32_t n = flights_[idx].inline_count;
   const std::array<Message, 2> local = flights_[idx].inline_msgs;
   const std::array<LockId, 2> local_locks = flights_[idx].inline_locks;
@@ -288,11 +288,13 @@ void Network::deliver_one(const Message& m, LockId lock, CauseId cause) {
   }
   stats_.delivered_messages += 1;
   // Causal context for the handler: an attached recorder reads
-  // delivering_cause() inside on_deliver, and anything the handler sends is
-  // stamped with send_cause_ — which the recorder overwrites per recorded
-  // edge, so only observed runs ever see a non-kNoCause value here.
+  // delivering_cause() inside its delivery callback, and anything the
+  // handler sends is stamped with send_cause_ — which the recorder
+  // overwrites per recorded edge, so only observed runs ever see a
+  // non-kNoCause value here.
   delivering_cause_ = cause;
-  if constexpr (kHooked) on_deliver(m, lock);
+  if constexpr (kHooked)
+    for (const DeliverFn& fn : deliver_subs_) fn(m, lock);
   NetSite* site = sites_[static_cast<size_t>(m.dst)];
   DQME_CHECK_MSG(site != nullptr, "no receiver attached for site " << m.dst);
   site->on_message(m, lock);
@@ -388,7 +390,7 @@ void Network::crash(SiteId id) {
       parked_[chan].clear();
     }
   }
-  if (on_crash) on_crash(id);
+  for (const CrashFn& fn : crash_subs_) fn(id);
 }
 
 int Network::alive_count() const {

@@ -53,6 +53,7 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -223,14 +224,20 @@ class Network final : public Executor {
   // 1 - pool/acquired — tracked by the profiling layer (src/obs).
   size_t flight_pool_size() const { return flights_.size(); }
 
-  // Trace hook: invoked for every control message at delivery time, before
-  // the receiving site sees it. Used by tests and the metrics layer.
-  std::function<void(const Message&, LockId)> on_deliver;
-
-  // Crash hook: invoked when crash(id) flips a site to fail-silent, before
-  // the call returns. Chain like on_deliver; the invariant checker uses it
-  // to write off obligations a dead site can no longer discharge.
-  std::function<void(SiteId)> on_crash;
+  // --- Observation (src/obs, tests) ----------------------------------
+  // Append-only subscriber lists. Every delivery subscriber sees every
+  // control message at delivery time, before the receiving site does; every
+  // crash subscriber sees crash(id) before the call returns. Subscribers
+  // are independent of each other — none can hide a message from another,
+  // so attach order is irrelevant to what each one observes. A subscriber
+  // must outlive the deliveries it sees and must not subscribe from inside
+  // a callback.
+  using DeliverFn = std::function<void(const Message&, LockId)>;
+  using CrashFn = std::function<void(SiteId)>;
+  void subscribe_delivery(DeliverFn fn) {
+    deliver_subs_.push_back(std::move(fn));
+  }
+  void subscribe_crash(CrashFn fn) { crash_subs_.push_back(std::move(fn)); }
 
  private:
   static constexpr uint32_t kNilFlight = 0xffffffffu;
@@ -283,9 +290,8 @@ class Network final : public Executor {
   // counts its messages as crash drops, and recycles the slot.
   void drop_flight(uint32_t idx);
   void deliver_flight(uint32_t idx);
-  // Delivers one message; the hook branch is resolved per *flight* in
-  // deliver_flight, so the detached path never tests the std::function per
-  // message.
+  // Delivers one message; the subscriber branch is resolved per *flight* in
+  // deliver_flight, so the detached path never tests the list per message.
   template <bool kHooked>
   void deliver_one(const Message& m, LockId lock, CauseId cause);
 
@@ -308,6 +314,8 @@ class Network final : public Executor {
   // Lock-piggyback state: open-flight record per (src,dst) channel.
   Time pb_window_ = -1;  // < 0: disabled
   std::vector<OpenFlight> open_;
+  std::vector<DeliverFn> deliver_subs_;
+  std::vector<CrashFn> crash_subs_;
   // Causal threading (set_send_cause / delivering_cause).
   CauseId send_cause_ = kNoCause;
   CauseId delivering_cause_ = kNoCause;

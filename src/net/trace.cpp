@@ -7,9 +7,7 @@ namespace dqme::net {
 TraceRecorder::TraceRecorder(Network& net, size_t capacity)
     : sim_(net.simulator()), capacity_(capacity) {
   DQME_CHECK(capacity > 0);
-  auto previous = std::move(net.on_deliver);
-  net.on_deliver = [this, previous = std::move(previous)](const Message& m,
-                                                          LockId lock) {
+  net.subscribe_delivery([this](const Message& m, LockId lock) {
     if (events_.size() == capacity_) {
       events_.pop_front();
       ++dropped_;
@@ -21,8 +19,7 @@ TraceRecorder::TraceRecorder(Network& net, size_t capacity)
     // arbitrary. Sever the handle in the retained copy so nothing can
     // dereference a recycled slot later.
     events_.back().msg.payload = kNoPayload;
-    if (previous) previous(m, lock);
-  };
+  });
 }
 
 std::deque<TraceEvent> TraceRecorder::filter(

@@ -1,9 +1,9 @@
 // Message trace capture.
 //
-// A TraceRecorder hooks Network::on_deliver and keeps a bounded record of
-// every control message with its delivery time. Protocol tests replay or
-// grep traces; tools/dqme_trace prints them as a timeline. Recording is
-// opt-in and zero-cost when not attached.
+// A TraceRecorder subscribes to Network deliveries and keeps a bounded
+// record of every control message with its delivery time. Protocol tests
+// replay or grep traces; tools/dqme_trace prints them as a timeline.
+// Recording is opt-in and zero-cost when not attached.
 #pragma once
 
 #include <deque>
@@ -26,8 +26,8 @@ struct TraceEvent {
 
 class TraceRecorder {
  public:
-  // Attaches to `net`, chaining any hook already installed. `capacity`
-  // bounds memory: older events are dropped first.
+  // Subscribes to `net`'s deliveries alongside any other observer.
+  // `capacity` bounds memory: older events are dropped first.
   TraceRecorder(Network& net, size_t capacity = 100'000);
 
   const std::deque<TraceEvent>& events() const { return events_; }

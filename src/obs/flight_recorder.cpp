@@ -53,18 +53,11 @@ FlightRecorder::FlightRecorder(size_t capacity) : capacity_(capacity) {
 }
 
 void FlightRecorder::attach(net::Network& net) {
-  net_ = &net;
-  auto previous = std::move(net.on_deliver);
-  net.on_deliver = [this, &net, previous = std::move(previous)](
-                       const net::Message& m, LockId lock) {
+  net.subscribe_delivery([this, &net](const net::Message& m, LockId lock) {
     record_message(m, lock, net.simulator().now());
-    if (previous) previous(m, lock);
-  };
-  auto prev_crash = std::move(net.on_crash);
-  net.on_crash = [this, &net, prev_crash = std::move(prev_crash)](SiteId s) {
-    record_crash(s, net.simulator().now());
-    if (prev_crash) prev_crash(s);
-  };
+  });
+  net.subscribe_crash(
+      [this, &net](SiteId s) { record_crash(s, net.simulator().now()); });
 }
 
 void FlightRecorder::push(Event e) {

@@ -14,12 +14,13 @@
 //     every wire edge, span edge, crash, and violation it sees. This is the
 //     canonical wiring: it also covers scripted traffic (`dqme_check
 //     --selftest` calls checker.observe() directly, bypassing the Network).
-//   * Directly — attach(net) chains Network::on_deliver / on_crash for
-//     checker-less runs.
+//   * Directly — attach(net) subscribes to the Network's deliveries and
+//     crashes, for checker-less runs.
 //
 // Cost model: one ring-slot assignment per event when attached; a run that
-// never constructs a recorder executes no flight-recorder code at all (the
-// hooks stay null — same detach contract as the tracer and the checker).
+// never constructs a recorder executes no flight-recorder code at all (no
+// subscriber is added — same detach contract as the tracer and the
+// checker).
 //
 // Dump format: trace-event JSON ("X" instants, dur 1, one lane per site
 // plus a "checker" lane for violations) accepted by ui.perfetto.dev and
@@ -61,10 +62,10 @@ class FlightRecorder {
 
   explicit FlightRecorder(size_t capacity = 4096);
 
-  // Chains Network::on_deliver / on_crash (keeping prior hooks) for runs
-  // without an InvariantChecker. With a checker, prefer
-  // checker.set_flight_recorder(&fr) — checker wiring also sees violations
-  // and scripted (selftest) traffic.
+  // Subscribes to `net`'s deliveries and crashes, for runs without an
+  // InvariantChecker. With a checker, prefer checker.set_flight_recorder(&fr)
+  // — checker wiring also sees violations and scripted (selftest) traffic —
+  // rather than both, which would record each delivery twice.
   void attach(net::Network& net);
 
   void record_message(const net::Message& m, LockId lock, Time at);
@@ -106,8 +107,6 @@ class FlightRecorder {
   std::string label_ = "flight recorder";
   bool dump_on_crash_ = false;
   bool dumped_ = false;
-
-  net::Network* net_ = nullptr;  // set by attach(); for hook timestamps
 
   std::vector<Event> ring_;  // grows to capacity_, then wraps at next_
   size_t next_ = 0;

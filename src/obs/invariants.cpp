@@ -10,23 +10,10 @@ namespace dqme::obs {
 
 InvariantChecker::InvariantChecker(net::Network& net, InvariantOptions opts)
     : net_(net), opts_(opts) {
-  auto previous = std::move(net.on_deliver);
-  net.on_deliver = [this, &net, previous = std::move(previous)](
-                       const net::Message& m, LockId lock) {
-    observe(m, lock, net.simulator().now());
-    if (previous) previous(m, lock);
-  };
-  auto prev_crash = std::move(net.on_crash);
-  net.on_crash = [this, prev_crash = std::move(prev_crash)](SiteId site) {
-    on_crash(site);
-    if (prev_crash) prev_crash(site);
-  };
-}
-
-void InvariantChecker::attach(mutex::MutexSite& site) {
-  mutex::SpanObserver* prev = site.span_observer();
-  if (prev != nullptr && prev != this) downstream_ = prev;
-  site.attach_span_observer(this);
+  net.subscribe_delivery([this](const net::Message& m, LockId lock) {
+    observe(m, lock, net_.simulator().now());
+  });
+  net.subscribe_crash([this](SiteId site) { on_crash(site); });
 }
 
 void InvariantChecker::flag(const std::string& what) {
@@ -257,7 +244,6 @@ void InvariantChecker::on_span_issue(SiteId site, LockId lock, SpanId span,
     led.span_owner[span] = site;
     arm_watchdog();
   }
-  if (downstream_) downstream_->on_span_issue(site, lock, span, at);
 }
 
 void InvariantChecker::on_span_enter(SiteId site, LockId lock, SpanId span,
@@ -282,7 +268,6 @@ void InvariantChecker::on_span_enter(SiteId site, LockId lock, SpanId span,
     led.span_owner.erase(watch->second.span);
     led.open_requests.erase(watch);
   }
-  if (downstream_) downstream_->on_span_enter(site, lock, span, at);
 }
 
 void InvariantChecker::on_span_exit(SiteId site, LockId lock, SpanId span,
@@ -293,7 +278,6 @@ void InvariantChecker::on_span_exit(SiteId site, LockId lock, SpanId span,
   Ledger& led = ledger(lock);
   led.cs_occupants.erase(site);
   led.active_span.erase(site);
-  if (downstream_) downstream_->on_span_exit(site, lock, span, at);
 }
 
 void InvariantChecker::on_span_abort(SiteId site, LockId lock, SpanId span,
@@ -308,7 +292,6 @@ void InvariantChecker::on_span_abort(SiteId site, LockId lock, SpanId span,
     led.span_owner.erase(watch->second.span);
     led.open_requests.erase(watch);
   }
-  if (downstream_) downstream_->on_span_abort(site, lock, span, at);
 }
 
 void InvariantChecker::finish(Time now) {

@@ -1,14 +1,17 @@
 // Online invariant checker (the correctness tentpole).
 //
-// Subscribes to the same attach-time hooks as the recorders in span.h —
-// mutex::SpanObserver for site edges, Network::on_deliver for wire edges,
-// plus the Network::on_crash hook — and validates, as the run executes:
+// Subscribes to the same seams as the recorders in span.h —
+// mutex::SpanObserver for site edges, Network delivery and crash
+// subscriptions for wire edges and crashes — and validates, as the run
+// executes:
 //
 //   (a) safety      — at most one site inside the CS (Theorem 1, checked
 //                     from span edges independently of harness::Metrics),
-//                     and each arbiter's lock granted to at most one
-//                     requester at a time (the §3 mechanism, a crash-aware
-//                     generalisation of harness::PermissionAuditor);
+//                     and each arbiter's lock granted to at most one live
+//                     request at a time (the §3 mechanism behind Theorem 1:
+//                     a per-arbiter permission ledger reconstructed from
+//                     delivered replies, yields and releases, crash-aware
+//                     and matched on full request spans);
 //   (b) conservation— every `transfer` an arbiter sends its lock holder is
 //                     eventually discharged: by the proxy-forwarded `reply`,
 //                     a parameterized `release`, a `yield`, or a crash of
@@ -23,9 +26,11 @@
 //
 // Everything is reconstructed from delivered messages and span edges; the
 // checker holds no pointer into protocol internals, so a protocol bug
-// cannot hide by corrupting the state it is checked against. Like the
-// recorders, the checker is opt-in: a run that attaches none executes the
-// exact same instruction stream as before.
+// cannot hide by corrupting the state it is checked against. Both seams
+// fan out to every subscriber, so the checker sees the same edges whether
+// it is attached before or after a recorder. Like the recorders, the
+// checker is opt-in: a run that attaches none executes the exact same
+// instruction stream as before.
 #pragma once
 
 #include <map>
@@ -56,13 +61,11 @@ struct InvariantOptions {
 
 class InvariantChecker final : public mutex::SpanObserver {
  public:
-  // Hooks Network::on_deliver and Network::on_crash (chaining any hooks
-  // already installed). Site edges additionally require attach(); when a
-  // SpanRecorder is already attached, attach() keeps it as a downstream
-  // observer so both see every edge.
+  // Subscribes to `net`'s deliveries and crashes. Site edges additionally
+  // require attach(). Other observers may attach before or after.
   explicit InvariantChecker(net::Network& net, InvariantOptions opts = {});
 
-  void attach(mutex::MutexSite& site);
+  void attach(mutex::MutexSite& site) { site.add_span_observer(this); }
   template <typename Sites>
   void attach_all(Sites&& sites) {
     for (auto& s : sites) attach(*s);
@@ -91,7 +94,8 @@ class InvariantChecker final : public mutex::SpanObserver {
   void observe(const net::Message& m, LockId lock, Time at);
   void observe(const net::Message& m, Time at) { observe(m, kLock0, at); }
 
-  // Crash entry point (chained onto Network::on_crash).
+  // Crash entry point (the Network crash subscription). Public for the
+  // same scripted-test reason as observe().
   void on_crash(SiteId site);
 
   // mutex::SpanObserver
@@ -157,7 +161,6 @@ class InvariantChecker final : public mutex::SpanObserver {
 
   net::Network& net_;
   InvariantOptions opts_;
-  mutex::SpanObserver* downstream_ = nullptr;
   FlightRecorder* flightrec_ = nullptr;
 
   std::map<LockId, Ledger> ledgers_;

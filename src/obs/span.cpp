@@ -29,12 +29,9 @@ std::string_view to_string(SpanEdge e) {
 SpanRecorder::SpanRecorder(net::Network& net, size_t capacity)
     : net_(net), capacity_(capacity) {
   DQME_CHECK(capacity > 0);
-  auto previous = std::move(net.on_deliver);
-  net.on_deliver = [this, &net, previous = std::move(previous)](
-                       const net::Message& m, LockId lock) {
-    on_message(m, lock, net.simulator().now());
-    if (previous) previous(m, lock);
-  };
+  net.subscribe_delivery([this](const net::Message& m, LockId lock) {
+    on_message(m, lock, net_.simulator().now());
+  });
 }
 
 void SpanRecorder::record(SpanEvent e) {

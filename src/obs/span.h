@@ -8,8 +8,11 @@
 //   * site edges  — issue / enter / exit / abort, reported by MutexSite
 //     through the mutex::SpanObserver interface,
 //   * wire edges  — request / grant / proxy-grant / fail / inquire /
-//     transfer / yield / release, observed at delivery time through
-//     Network::on_deliver (each carries both send and delivery instants).
+//     transfer / yield / release, observed at delivery time as a Network
+//     delivery subscriber (each carries both send and delivery instants).
+//
+// Both seams fan out to every subscriber, so a recorder and an
+// obs::InvariantChecker attach in either order and each sees every edge.
 //
 // The edge list makes the paper's Table 1 delay claim *causally* checkable:
 // contended_handoffs() pairs every CS exit with the next contended entry,
@@ -84,12 +87,11 @@ struct Handoff {
 
 class SpanRecorder final : public mutex::SpanObserver {
  public:
-  // Hooks Network::on_deliver (chaining any hook already installed).
-  // Site edges additionally require attach() / attach_all() — MutexSite
-  // reports to at most one observer.
+  // Subscribes to `net`'s deliveries. Site edges additionally require
+  // attach() / attach_all().
   explicit SpanRecorder(net::Network& net, size_t capacity = 1'000'000);
 
-  void attach(mutex::MutexSite& site) { site.attach_span_observer(this); }
+  void attach(mutex::MutexSite& site) { site.add_span_observer(this); }
   template <typename Sites>
   void attach_all(Sites&& sites) {
     for (auto& s : sites) attach(*s);

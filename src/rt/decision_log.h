@@ -83,12 +83,11 @@ class DecisionLog final : public net::NetSite, public mutex::SpanObserver {
   };
 
   // Interposes this log between the backend and `site`: the log becomes
-  // site `id`'s receiver on `exec` and the site's span observer (chaining
-  // any observer already attached). Call after the site is constructed.
+  // site `id`'s receiver on `exec` and subscribes to the site's span edges
+  // alongside any other observer. Call after the site is constructed.
   void bind(net::Executor& exec, mutex::MutexSite& site) {
     site_ = &site;
-    downstream_ = site.span_observer();
-    site.attach_span_observer(this);
+    site.add_span_observer(this);
     exec.attach(site.id(), this);
   }
 
@@ -111,25 +110,18 @@ class DecisionLog final : public net::NetSite, public mutex::SpanObserver {
     site_->on_message(m, lock);
   }
 
-  // mutex::SpanObserver — record the edge (time masked), then forward.
-  void on_span_issue(SiteId site, LockId lock, SpanId span,
-                     Time at) override {
+  // mutex::SpanObserver — record the edge (time masked).
+  void on_span_issue(SiteId, LockId lock, SpanId span, Time) override {
     push_span(Record::kIssue, lock, span);
-    if (downstream_ != nullptr) downstream_->on_span_issue(site, lock, span, at);
   }
-  void on_span_enter(SiteId site, LockId lock, SpanId span,
-                     Time at) override {
+  void on_span_enter(SiteId, LockId lock, SpanId span, Time) override {
     push_span(Record::kEnter, lock, span);
-    if (downstream_ != nullptr) downstream_->on_span_enter(site, lock, span, at);
   }
-  void on_span_exit(SiteId site, LockId lock, SpanId span, Time at) override {
+  void on_span_exit(SiteId, LockId lock, SpanId span, Time) override {
     push_span(Record::kExit, lock, span);
-    if (downstream_ != nullptr) downstream_->on_span_exit(site, lock, span, at);
   }
-  void on_span_abort(SiteId site, LockId lock, SpanId span,
-                     Time at) override {
+  void on_span_abort(SiteId, LockId lock, SpanId span, Time) override {
     push_span(Record::kAbort, lock, span);
-    if (downstream_ != nullptr) downstream_->on_span_abort(site, lock, span, at);
   }
 
   const std::vector<Record>& records() const { return records_; }
@@ -145,7 +137,6 @@ class DecisionLog final : public net::NetSite, public mutex::SpanObserver {
   }
 
   mutex::MutexSite* site_ = nullptr;
-  mutex::SpanObserver* downstream_ = nullptr;
   std::vector<Record> records_;
 };
 

@@ -29,36 +29,28 @@
 namespace dqme::rt {
 
 // Span observer that streams a site's span edges into the Runtime's
-// sharded observability feed (record_span) and forwards downstream.
+// sharded observability feed (record_span), alongside any other observer
+// subscribed to the site.
 class ObsTap final : public mutex::SpanObserver {
  public:
   ObsTap(Runtime& rtc, mutex::MutexSite& site) : rtc_(rtc) {
-    downstream_ = site.span_observer();
-    site.attach_span_observer(this);
+    site.add_span_observer(this);
   }
-  void on_span_issue(SiteId site, LockId lock, SpanId span,
-                     Time at) override {
+  void on_span_issue(SiteId site, LockId lock, SpanId span, Time) override {
     rtc_.record_span(site, 0, lock, span);
-    if (downstream_ != nullptr) downstream_->on_span_issue(site, lock, span, at);
   }
-  void on_span_enter(SiteId site, LockId lock, SpanId span,
-                     Time at) override {
+  void on_span_enter(SiteId site, LockId lock, SpanId span, Time) override {
     rtc_.record_span(site, 1, lock, span);
-    if (downstream_ != nullptr) downstream_->on_span_enter(site, lock, span, at);
   }
-  void on_span_exit(SiteId site, LockId lock, SpanId span, Time at) override {
+  void on_span_exit(SiteId site, LockId lock, SpanId span, Time) override {
     rtc_.record_span(site, 2, lock, span);
-    if (downstream_ != nullptr) downstream_->on_span_exit(site, lock, span, at);
   }
-  void on_span_abort(SiteId site, LockId lock, SpanId span,
-                     Time at) override {
+  void on_span_abort(SiteId site, LockId lock, SpanId span, Time) override {
     rtc_.record_span(site, 3, lock, span);
-    if (downstream_ != nullptr) downstream_->on_span_abort(site, lock, span, at);
   }
 
  private:
   Runtime& rtc_;
-  mutex::SpanObserver* downstream_ = nullptr;
 };
 
 // Cheap real-time mutual-exclusion probe: one atomic owner word per lock.

@@ -62,9 +62,9 @@ OracleResult run_sim_oracle(const EquivConfig& cfg) {
   // Every delivery the simulator performs becomes a kDeliver step — the
   // hook fires before the receiver's handler, i.e. exactly at the point the
   // rt replay will pop the channel.
-  net.on_deliver = [&res](const net::Message& m, LockId lock) {
+  net.subscribe_delivery([&res](const net::Message& m, LockId lock) {
     res.steps.push_back({Step::kDeliver, m.dst, m.src, lock});
-  };
+  });
 
   // Per-site driver script: `requests_per_site` CS cycles on seeded-random
   // locks with jittered hold/think times. All rng draws happen sim-side

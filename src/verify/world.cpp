@@ -94,21 +94,16 @@ World::World(const WorldConfig& cfg, bool capture)
     net_.attach(i, taps_.back().get());
   }
 
-  // Recorders first, checker last: InvariantChecker::attach keeps whatever
-  // span observer is already installed as its downstream, so the capture
-  // recorders must be in place before the checker claims the slot.
-  if (capture) {
-    trace_rec_ = std::make_unique<net::TraceRecorder>(net_);
-    span_rec_ = std::make_unique<obs::SpanRecorder>(net_);
-    span_rec_->attach_all(sites_);
-    flightrec_ = std::make_unique<obs::FlightRecorder>(4096);
-  }
   obs::InvariantOptions iopts;
   iopts.liveness_bound = 0;  // quiescence-time liveness is seal()'s job
   iopts.quorum_arbitration = mutex::algo_uses_quorum(cfg.algo);
   checker_ = std::make_unique<obs::InvariantChecker>(net_, iopts);
   checker_->attach_all(sites_);
-  if (flightrec_) {
+  if (capture) {
+    trace_rec_ = std::make_unique<net::TraceRecorder>(net_);
+    span_rec_ = std::make_unique<obs::SpanRecorder>(net_);
+    span_rec_->attach_all(sites_);
+    flightrec_ = std::make_unique<obs::FlightRecorder>(4096);
     flightrec_->set_label("dqme_explore replay " +
                           std::string(mutex::to_string(cfg.algo)) + " n=" +
                           std::to_string(cfg.n));

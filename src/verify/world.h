@@ -37,7 +37,8 @@ namespace dqme::verify {
 
 class World {
  public:
-  // `capture` additionally attaches a TraceRecorder + SpanRecorder so a
+  // `capture` additionally subscribes a TraceRecorder + SpanRecorder next
+  // to the checker (each sees every edge; attach order is irrelevant) so a
   // replayed counterexample can be exported as a Chrome trace. Exploration
   // runs without it.
   explicit World(const WorldConfig& cfg, bool capture = false);
@@ -85,8 +86,9 @@ class World {
  private:
   // Sits between the Network and the real protocol site; the seeded
   // mutations (negative tests) drop or rewrite messages here — after the
-  // invariant checker saw the original on Network::on_deliver, which is
-  // what makes each mutation visible as a checker/driver violation.
+  // invariant checker saw the original as a Network delivery subscriber,
+  // which is what makes each mutation visible as a checker/driver
+  // violation.
   class SiteTap final : public net::NetSite {
    public:
     SiteTap(World& world, mutex::MutexSite& site)

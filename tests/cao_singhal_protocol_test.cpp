@@ -300,11 +300,11 @@ TEST(CaoSinghalProtocol, IdenticalRigsProduceIdenticalTraces) {
   auto trace = [] {
     Rig rig(9);
     std::vector<std::string> events;
-    rig.net.on_deliver = [&](const Message& m, LockId) {
+    rig.net.subscribe_delivery([&](const Message& m, LockId) {
       std::ostringstream os;
       os << rig.sim.now() << ' ' << m;
       events.push_back(os.str());
-    };
+    });
     rig.site(3).request_cs(kLock0);
     rig.site(5).request_cs(kLock0);
     rig.sim.run();

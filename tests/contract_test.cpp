@@ -133,11 +133,7 @@ TEST(Contracts, ReplicateRequiresAtLeastOneRun) {
   cfg.n = 4;
   cfg.warmup = 1000;
   cfg.measure = 1000;
-  EXPECT_THROW(
-      harness::replicate(cfg, 0, [](const harness::ExperimentResult&) {
-        return 0.0;
-      }),
-      CheckError);
+  EXPECT_THROW(harness::replicate(cfg, 0), CheckError);
 }
 
 TEST(Contracts, ExperimentRejectsOutOfRangeCrashVictim) {

@@ -5,9 +5,12 @@
 
 #include "net/network.h"
 #include "harness/sweep.h"
+#include "harness/workload.h"
+#include "mutex/factory.h"
 #include "obs/invariants.h"
 #include "obs/model.h"
 #include "obs/span.h"
+#include "quorum/factory.h"
 #include "test_util.h"
 
 namespace dqme {
@@ -67,6 +70,35 @@ TEST(InvariantChecker, DeterministicAcrossRepeatRuns) {
   const ExperimentResult b = harness::run_experiment(cfg);
   EXPECT_EQ(a.invariant_checks, b.invariant_checks);
   EXPECT_EQ(a.invariant_violations, b.invariant_violations);
+}
+
+// Uniform delays in [T/2, 3T/2] reorder grants, releases and forwarded
+// replies across channels; the permission ledger must follow every quorum
+// shape the protocols ship with, not just the grid.
+TEST(InvariantChecker, CleanUnderUniformDelayAcrossQuorums) {
+  struct Case {
+    Algo algo;
+    int n;
+    const char* quorum;
+    uint64_t seed;
+  };
+  std::vector<Case> cases;
+  for (uint64_t seed = 1; seed <= 10; ++seed)
+    cases.push_back({Algo::kCaoSinghal, 9, "grid", seed});
+  cases.push_back({Algo::kCaoSinghal, 13, "fpp", 7});
+  cases.push_back({Algo::kCaoSinghal, 9, "majority", 7});
+  cases.push_back({Algo::kMaekawa, 16, "grid", 5});
+  for (const Case& c : cases) {
+    ExperimentConfig cfg =
+        checked(testing::heavy_cfg(c.algo, c.n, c.seed, c.quorum));
+    cfg.delay_kind = ExperimentConfig::DelayKind::kUniform;
+    cfg.workload.max_cs_per_site = 25;
+    const ExperimentResult r = testing::run_checked(cfg);
+    EXPECT_EQ(r.invariant_violations, 0u)
+        << mutex::to_string(c.algo) << ' ' << c.quorum << " seed "
+        << c.seed << ": " << r.invariant_reports.front();
+    EXPECT_GT(r.invariant_checks, 1000u);
+  }
 }
 
 TEST(InvariantChecker, SweepGatesOnViolationsAcrossWorkers) {
@@ -145,6 +177,15 @@ TEST(InvariantChecker, PermissionLedgerIsKeyedPerLock) {
   s.checker.observe(s.wire(net::make_reply(0, kR2), 0, 2, 6), LockId{5}, 11);
   EXPECT_EQ(s.checker.violations(), 0u)
       << s.checker.reports().front();
+  // Now a true double grant inside lock 5: site 1 asks for lock 5 too, and
+  // arbiter 0 grants it while site 2 still holds lock 5's permission.
+  s.checker.on_span_issue(1, LockId{5}, span_of(kR1), 12);
+  s.checker.observe(s.wire(net::make_reply(0, kR1), 0, 1, 13), LockId{5}, 18);
+  EXPECT_EQ(s.checker.violations(), 1u);
+  ASSERT_FALSE(s.checker.reports().empty());
+  EXPECT_NE(s.checker.reports().front().find("permission"),
+            std::string::npos);
+  EXPECT_NE(s.checker.reports().front().find("[lock 5]"), std::string::npos);
 }
 
 TEST(InvariantChecker, FlagsDoubleGrant) {
@@ -184,23 +225,32 @@ TEST(InvariantChecker, FlagsLostTransferAtFinish) {
             std::string::npos);
 }
 
+// The holder's parameterized release (to the arbiter) and its forwarded
+// reply (to the next grantee) travel on different channels, so either may
+// land first; both orders are a legal handoff.
 TEST(InvariantChecker, TransferDischargedByProxyReplyIsClean) {
-  Script s;
-  s.checker.on_span_issue(1, kLock0,span_of(kR1), 0);
-  s.checker.observe(s.wire(net::make_reply(0, kR1), 0, 1, 5), 10);
-  s.checker.on_span_enter(1, kLock0,span_of(kR1), 12);
-  s.checker.on_span_issue(2, kLock0,span_of(kR2), 15);
-  s.checker.observe(s.wire(net::make_transfer(kR2, 0, kR1), 0, 1, 16), 20);
-  s.checker.on_span_exit(1, kLock0,span_of(kR1), 25);
-  s.checker.observe(s.wire(net::make_release(kR1, kR2), 1, 0, 25), 28);
-  s.checker.observe(s.wire(net::make_reply(0, kR2), 1, 2, 25), 30);
-  s.checker.on_span_enter(2, kLock0,span_of(kR2), 31);
-  s.checker.on_span_exit(2, kLock0,span_of(kR2), 40);
-  s.checker.observe(s.wire(net::make_release(kR2, ReqId{}), 2, 0, 40), 45);
-  s.checker.finish(50);
-  EXPECT_EQ(s.checker.violations(), 0u)
-      << s.checker.reports().front();
-  EXPECT_GT(s.checker.checks(), 0u);
+  for (bool release_first : {true, false}) {
+    Script s;
+    s.checker.on_span_issue(1, kLock0, span_of(kR1), 0);
+    s.checker.observe(s.wire(net::make_reply(0, kR1), 0, 1, 5), 10);
+    s.checker.on_span_enter(1, kLock0, span_of(kR1), 12);
+    s.checker.on_span_issue(2, kLock0, span_of(kR2), 15);
+    s.checker.observe(s.wire(net::make_transfer(kR2, 0, kR1), 0, 1, 16), 20);
+    s.checker.on_span_exit(1, kLock0, span_of(kR1), 25);
+    const net::Message release =
+        s.wire(net::make_release(kR1, kR2), 1, 0, 25);
+    const net::Message forward = s.wire(net::make_reply(0, kR2), 1, 2, 25);
+    s.checker.observe(release_first ? release : forward, 28);
+    s.checker.observe(release_first ? forward : release, 30);
+    s.checker.on_span_enter(2, kLock0, span_of(kR2), 31);
+    s.checker.on_span_exit(2, kLock0, span_of(kR2), 40);
+    s.checker.observe(s.wire(net::make_release(kR2, ReqId{}), 2, 0, 40), 45);
+    s.checker.finish(50);
+    EXPECT_EQ(s.checker.violations(), 0u)
+        << "release_first=" << release_first << ": "
+        << s.checker.reports().front();
+    EXPECT_GT(s.checker.checks(), 0u);
+  }
 }
 
 TEST(InvariantChecker, FlagsFifoInversion) {
@@ -249,6 +299,68 @@ TEST(InvariantChecker, StaleGrantAfterRecoveryIsNotAViolation) {
   s.checker.observe(s.wire(net::make_reply(0, kR2), 0, 2, 12), 16);
   EXPECT_EQ(s.checker.violations(), 0u)
       << s.checker.reports().front();
+}
+
+// -------------------------------------------------- attach order is moot
+
+// Cao–Singhal on a 9-site grid (constant T=1000, closed loop, E=100, 20 CS
+// per site, seed 3), run to quiescence under the checker, with a
+// SpanRecorder subscribed before or after it.
+struct OrderedRun {
+  uint64_t checks = 0;
+  uint64_t violations = 0;
+  size_t span_events = 0;
+  uint64_t completed = 0;
+};
+
+OrderedRun run_with_recorder(bool recorder_first) {
+  constexpr int kN = 9;
+  sim::Simulator sim;
+  net::Network net(sim, kN, std::make_unique<net::ConstantDelay>(1000), 3);
+  const auto quorums = quorum::make_quorum_system("grid", kN);
+  std::vector<std::unique_ptr<mutex::MutexSite>> sites;
+  std::vector<mutex::MutexSite*> raw;
+  for (SiteId i = 0; i < kN; ++i) {
+    sites.push_back(
+        mutex::make_site(Algo::kCaoSinghal, i, net, quorums.get()));
+    net.attach(i, sites.back().get());
+    raw.push_back(sites.back().get());
+  }
+  std::unique_ptr<obs::SpanRecorder> spans;
+  auto attach_recorder = [&] {
+    spans = std::make_unique<obs::SpanRecorder>(net);
+    spans->attach_all(sites);
+  };
+  if (recorder_first) attach_recorder();
+  obs::InvariantChecker checker(net);
+  checker.attach_all(sites);
+  if (!recorder_first) attach_recorder();
+
+  harness::Workload::Config wc;
+  wc.mode = harness::Workload::Config::Mode::kClosed;
+  wc.cs_duration = 100;
+  wc.max_cs_per_site = 20;
+  wc.seed = 3;
+  harness::Workload wl(sim, raw, wc, nullptr);
+  wl.start();
+  sim.run();
+  checker.finish(sim.now());
+  return {checker.checks(), checker.violations(), spans->events().size(),
+          wl.demands_completed()};
+}
+
+// Attaching a recorder must not blind the checker, whichever comes first:
+// without site edges its CS-exclusion rule and its live-request-gated
+// permission rule never fire, so its check count is the tell.
+TEST(InvariantChecker, SeesTheSameRunWhateverTheAttachOrder) {
+  const OrderedRun before = run_with_recorder(/*recorder_first=*/true);
+  const OrderedRun after = run_with_recorder(/*recorder_first=*/false);
+  EXPECT_EQ(before.completed, 9u * 20u);
+  EXPECT_EQ(before.violations, 0u);
+  EXPECT_EQ(before.checks, after.checks);
+  EXPECT_EQ(before.violations, after.violations);
+  EXPECT_EQ(before.span_events, after.span_events);
+  EXPECT_GT(before.span_events, 0u);
 }
 
 // ------------------------------------------------------------ model gauges

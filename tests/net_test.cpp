@@ -139,10 +139,10 @@ TEST(Network, AliveCountTracksCrashes) {
   EXPECT_TRUE(rig.net.alive(0));
 }
 
-TEST(Network, OnDeliverHookSeesEveryControlMessage) {
+TEST(Network, DeliverySubscriberSeesEveryControlMessage) {
   Rig rig(2);
   int hooked = 0;
-  rig.net.on_deliver = [&](const Message&, LockId) { ++hooked; };
+  rig.net.subscribe_delivery([&](const Message&, LockId) { ++hooked; });
   std::vector<Message> bundle;
   bundle.push_back(make_reply(0, ReqId{1, 1}));
   bundle.push_back(make_transfer(ReqId{2, 0}, 0, ReqId{1, 1}));

@@ -36,15 +36,17 @@ TEST(TraceRecorder, CapturesEveryControlMessageWithTimestamp) {
   EXPECT_EQ(trace.count(MsgType::kRequest), 1u);
 }
 
-TEST(TraceRecorder, ChainsAnExistingHook) {
+TEST(TraceRecorder, SharesDeliveriesWithOtherSubscribers) {
   TraceRig rig;
-  int prior_hook_calls = 0;
-  rig.net.on_deliver = [&](const Message&, LockId) { ++prior_hook_calls; };
+  int other_calls = 0;
+  rig.net.subscribe_delivery([&](const Message&, LockId) { ++other_calls; });
   TraceRecorder trace(rig.net);
   rig.net.send(0, 1, make_request(ReqId{1, 0}));
+  rig.net.send(1, 0, make_reply(1, ReqId{1, 0}));
   rig.sim.run();
-  EXPECT_EQ(prior_hook_calls, 1);
-  EXPECT_EQ(trace.events().size(), 1u);
+  // Both subscribers see every delivery; neither hides one from the other.
+  EXPECT_EQ(other_calls, 2);
+  EXPECT_EQ(trace.events().size(), 2u);
 }
 
 TEST(TraceRecorder, BoundedCapacityDropsOldest) {

@@ -57,8 +57,7 @@ std::string fingerprint(const ExperimentResult& r) {
      << r.protocol_stats.replies_forwarded << ','
      << r.protocol_stats.replies_direct << ','
      << r.protocol_stats.recoveries << '|';
-  os << r.sync_delay_in_t << '|' << r.permission_violations << '|'
-     << r.permission_grants_audited << '|' << r.sim_events;
+  os << r.sync_delay_in_t << '|' << r.sim_events;
   return os.str();
 }
 
@@ -141,17 +140,6 @@ TEST(Sweep, ReplicateParallelMatchesSerial) {
   // Seeds are assigned in order regardless of which worker ran them.
   for (size_t r = 0; r < serial.size(); ++r)
     EXPECT_EQ(serial[r].demands_issued, parallel[r].demands_issued);
-}
-
-TEST(Sweep, DeprecatedShimMatchesAggregateOverFullResults) {
-  const ExperimentConfig cfg = small_config(mutex::Algo::kMaekawa);
-  auto metric = [](const ExperimentResult& r) {
-    return static_cast<double>(r.summary.completed);
-  };
-  const Replicated shim = replicate(cfg, 4, metric);
-  const Replicated direct = aggregate(replicate(cfg, 4), metric);
-  EXPECT_EQ(shim.mean, direct.mean);
-  EXPECT_EQ(shim.sd, direct.sd);
 }
 
 TEST(Sweep, ExpandSeedsCountsUpFromBase) {

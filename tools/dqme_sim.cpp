@@ -59,8 +59,6 @@ void usage(const char* argv0) {
       << "  --ft             enable the §6 fault-tolerance layer\n"
       << "  --crash T:SITE   crash SITE at time T (repeatable)\n"
       << "  --no-piggyback   disable piggybacking (ablation)\n"
-      << "  --audit          run the per-arbiter permission auditor\n"
-      << "                   (quorum algorithms, no crashes)\n"
       << "  --trace-out FILE record the run and write Chrome trace-event\n"
       << "                   JSON (chrome://tracing / ui.perfetto.dev)\n"
       << "  --replay-schedule FILE  replay a dqme_explore schedule (its\n"
@@ -78,7 +76,10 @@ void usage(const char* argv0) {
       << "  --no-check       skip the safety probe and the merged\n"
       << "                   invariant-checker replay\n"
       << "(simulator-shape flags — --t, --delay, --load, --warmup, ... —\n"
-      << " are rejected under --backend rt rather than silently ignored)\n";
+      << " are rejected under --backend rt rather than silently ignored)\n"
+      << "For a sim run under the online invariant checker (CS exclusion,\n"
+      << "per-arbiter permission ledger, transfer conservation, FIFO,\n"
+      << "liveness; crashes included) use dqme_check --algo ... --n ...\n";
 }
 
 // --backend rt: the real-threads free-run driver (rt::run_free) behind the
@@ -135,7 +136,7 @@ int rt_backend_main(int argc, char** argv) {
                a == "--rate" || a == "--cs" || a == "--exp-cs" ||
                a == "--think" || a == "--warmup" || a == "--measure" ||
                a == "--zipf" || a == "--lock-piggyback" || a == "--ft-crash" ||
-               a == "--crash" || a == "--no-piggyback" || a == "--audit" ||
+               a == "--crash" || a == "--no-piggyback" ||
                a == "--trace-out" || a == "--replay-schedule") {
       std::cerr << a
                 << " is simulator-only: the rt backend runs wall-clock with "
@@ -265,8 +266,6 @@ bool parse_args(int argc, char** argv, harness::ExperimentConfig& cfg,
       cfg.options.fault_tolerant = true;
     } else if (a == "--no-piggyback") {
       cfg.options.piggyback = false;
-    } else if (a == "--audit") {
-      cfg.audit_permissions = true;
     } else if (a == "--replay-schedule") {
       replay_schedule = next();
     } else if (a.rfind("--replay-schedule=", 0) == 0) {
@@ -421,10 +420,6 @@ int main(int argc, char** argv) try {
                    Table::integer(r.demands_aborted)});
   out.add_row({"drained clean", r.drained_clean ? "yes" : "NO"});
   out.add_row({"stale drops", Table::integer(r.stale_drops)});
-  if (cfg.audit_permissions)
-    out.add_row({"permission audit (grants / violations)",
-                 Table::integer(r.permission_grants_audited) + " / " +
-                     Table::integer(r.permission_violations)});
   if (cfg.algo == mutex::Algo::kCaoSinghal ||
       cfg.algo == mutex::Algo::kCaoSinghalNoProxy) {
     out.add_row({"replies forwarded / direct",
@@ -453,8 +448,7 @@ int main(int argc, char** argv) try {
               << data.span_events.size() << " span events)\n";
   }
 
-  const bool ok = r.summary.violations == 0 && r.drained_clean &&
-                  r.permission_violations == 0;
+  const bool ok = r.summary.violations == 0 && r.drained_clean;
   std::cout << (ok ? "\nOK: safe and live.\n"
                    : "\nFAILED: safety or liveness violated.\n");
   return ok ? 0 : 1;
