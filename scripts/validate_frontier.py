@@ -32,8 +32,10 @@ import re
 import sys
 
 ACTION_RE = re.compile(r"^([dn]) (-?\d+) (-?\d+)$|^([xc]) (-?\d+)$")
-COUNTERS = ("schedules", "truncated", "nodes", "replays", "replay_steps",
-            "sleep_skips")
+# A counter missing from the header reads as 0, so files written before a
+# counter existed (e.g. "restores") still validate.
+COUNTERS = ("schedules", "truncated", "nodes", "replays", "restores",
+            "replay_steps", "sleep_skips")
 
 
 def fail(path, msg):

@@ -507,4 +507,15 @@ void CaoSinghalSite::debug_dump(std::ostream& os, LockId lock) const {
   os << "} inquired=" << L.inquired_this_tenure << '\n';
 }
 
+void CaoSinghalSite::copy_protocol_state(const mutex::MutexSite& other) {
+  // Options, quorums and the exit scratch are configuration and capacity,
+  // not run state.
+  const auto& o = static_cast<const CaoSinghalSite&>(other);
+  lk_ = o.lk_;
+  alive_ = o.alive_;
+  stalled_ = o.stalled_;
+  case_stats_ = o.case_stats_;
+  stats_ = o.stats_;
+}
+
 }  // namespace dqme::core

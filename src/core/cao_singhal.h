@@ -123,6 +123,7 @@ class CaoSinghalSite final : public mutex::MutexSite {
 
   void do_request(LockId lock) override;
   void do_release(LockId lock) override;
+  void copy_protocol_state(const mutex::MutexSite& other) override;
   void begin_request(LockId lock);
 
   // --- Requester-side handlers (A.3, A.5, A.6, A.7) ---

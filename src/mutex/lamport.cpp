@@ -71,4 +71,8 @@ void LamportSite::try_enter(LockId lock) {
   if (!L.queue.empty() && *L.queue.begin() == L.my_req) enter_cs(lock);
 }
 
+void LamportSite::copy_protocol_state(const MutexSite& other) {
+  lk_ = static_cast<const LamportSite&>(other).lk_;
+}
+
 }  // namespace dqme::mutex

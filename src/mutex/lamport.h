@@ -31,6 +31,7 @@ class LamportSite final : public MutexSite {
 
   void do_request(LockId lock) override;
   void do_release(LockId lock) override;
+  void copy_protocol_state(const MutexSite& other) override;
   void try_enter(LockId lock);
 
   std::vector<Lk> lk_;

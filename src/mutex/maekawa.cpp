@@ -196,4 +196,8 @@ void MaekawaSite::handle_release(const Message& m, LockId lock) {
   grant_next_from_queue(lock);
 }
 
+void MaekawaSite::copy_protocol_state(const MutexSite& other) {
+  lk_ = static_cast<const MaekawaSite&>(other).lk_;
+}
+
 }  // namespace dqme::mutex

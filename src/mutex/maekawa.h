@@ -48,6 +48,7 @@ class MaekawaSite final : public MutexSite {
 
   void do_request(LockId lock) override;
   void do_release(LockId lock) override;
+  void copy_protocol_state(const MutexSite& other) override;
 
   // Requester side.
   void handle_reply(const net::Message& m, LockId lock);

@@ -20,6 +20,7 @@
 
 #include <array>
 #include <functional>
+#include <typeinfo>
 #include <vector>
 
 #include "common/check.h"
@@ -94,6 +95,19 @@ class MutexSite : public net::NetSite {
     emit<&SpanObserver::on_span_exit>(lock, L.active_span);
     do_release(lock);
     L.active_span = kNoSpan;
+  }
+
+  // Checkpointing (verify::World): overwrites this site's run state — the
+  // lock table, the stale-drop counters and every protocol field — with
+  // `other`'s, a site of the same algorithm, id and options built on
+  // another executor. The wiring stays this site's own: its executor,
+  // on_enter/on_abort and span observers.
+  void copy_state_from(const MutexSite& other) {
+    DQME_CHECK(typeid(*this) == typeid(other) && id_ == other.id_);
+    locks_ = other.locks_;
+    stale_drops_ = other.stale_drops_;
+    stale_by_type_ = other.stale_by_type_;
+    copy_protocol_state(other);
   }
 
   // Attach-time observability (src/obs): `obs` sees the span edges of
@@ -199,6 +213,9 @@ class MutexSite : public net::NetSite {
 
   virtual void do_request(LockId lock) = 0;
   virtual void do_release(LockId lock) = 0;
+  // The subclass half of copy_state_from: copies every protocol field.
+  // `other` has this site's dynamic type.
+  virtual void copy_protocol_state(const MutexSite& other) = 0;
 
  private:
   // Driver-visible per-lock state; protocol subclasses keep their own

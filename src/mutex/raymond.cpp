@@ -77,4 +77,8 @@ void RaymondSite::on_message(const Message& m, LockId lock) {
   }
 }
 
+void RaymondSite::copy_protocol_state(const MutexSite& other) {
+  lk_ = static_cast<const RaymondSite&>(other).lk_;
+}
+
 }  // namespace dqme::mutex

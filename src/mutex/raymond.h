@@ -37,6 +37,7 @@ class RaymondSite final : public MutexSite {
 
   void do_request(LockId lock) override;
   void do_release(LockId lock) override;
+  void copy_protocol_state(const MutexSite& other) override;
 
   // Raymond's two core procedures.
   void assign_privilege(LockId lock);

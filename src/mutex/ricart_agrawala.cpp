@@ -59,4 +59,8 @@ void RicartAgrawalaSite::on_message(const Message& m, LockId lock) {
   }
 }
 
+void RicartAgrawalaSite::copy_protocol_state(const MutexSite& other) {
+  lk_ = static_cast<const RicartAgrawalaSite&>(other).lk_;
+}
+
 }  // namespace dqme::mutex

@@ -24,6 +24,7 @@ class RicartAgrawalaSite final : public MutexSite {
 
   void do_request(LockId lock) override;
   void do_release(LockId lock) override;
+  void copy_protocol_state(const MutexSite& other) override;
 
   std::vector<Lk> lk_;
 };

@@ -90,4 +90,8 @@ void RoucairolCarvalhoSite::on_message(const Message& m, LockId lock) {
   }
 }
 
+void RoucairolCarvalhoSite::copy_protocol_state(const MutexSite& other) {
+  lk_ = static_cast<const RoucairolCarvalhoSite&>(other).lk_;
+}
+
 }  // namespace dqme::mutex

@@ -37,6 +37,7 @@ class RoucairolCarvalhoSite final : public MutexSite {
 
   void do_request(LockId lock) override;
   void do_release(LockId lock) override;
+  void copy_protocol_state(const MutexSite& other) override;
   void pass_token(LockId lock, SiteId to);
 
   std::vector<Lk> lk_;

@@ -93,4 +93,8 @@ void SuzukiKasamiSite::on_message(const Message& m, LockId lock) {
   }
 }
 
+void SuzukiKasamiSite::copy_protocol_state(const MutexSite& other) {
+  lk_ = static_cast<const SuzukiKasamiSite&>(other).lk_;
+}
+
 }  // namespace dqme::mutex

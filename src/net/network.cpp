@@ -400,4 +400,21 @@ int Network::alive_count() const {
   return n;
 }
 
+void Network::copy_state_from(const Network& other) {
+  DQME_CHECK_MSG(controlled_ && other.controlled_,
+                 "copy_state_from is for controlled networks");
+  DQME_CHECK(size() == other.size());
+  alive_ = other.alive_;
+  last_delivery_ = other.last_delivery_;
+  stats_ = other.stats_;
+  flights_ = other.flights_;
+  flight_free_ = other.flight_free_;
+  payloads_ = other.payloads_;
+  payload_free_ = other.payload_free_;
+  send_cause_ = other.send_cause_;
+  delivering_cause_ = other.delivering_cause_;
+  parked_total_ = other.parked_total_;
+  parked_ = other.parked_;
+}
+
 }  // namespace dqme::net

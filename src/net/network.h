@@ -50,7 +50,6 @@
 #pragma once
 
 #include <array>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <utility>
@@ -108,6 +107,7 @@ class Network final : public Executor {
   int size() const override { return static_cast<int>(sites_.size()); }
   Time now() const override { return sim_.now(); }
   sim::Simulator& simulator() { return sim_; }
+  const sim::Simulator& simulator() const { return sim_; }
   Time mean_delay() const { return delay_->mean(); }
 
   // Registers the receiver for site `id`. Must happen before any delivery
@@ -195,6 +195,13 @@ class Network final : public Executor {
   // Mutation seam for seeded-negative tests: delivers the index-th parked
   // flight, deliberately violating FIFO when index > 0.
   bool deliver_parked(SiteId src, SiteId dst, size_t index);
+  // Checkpointing (verify::World): overwrites this network's run state with
+  // `other`'s — flights, parked queues, alive bits, FIFO floors, stats and
+  // the payload slab. Both networks must be controlled, of one size, and
+  // between deliveries. Not copied: the attached receivers and the
+  // subscribers (each network keeps its own wiring), and the delay model
+  // and its RNG, which controlled mode never samples.
+  void copy_state_from(const Network& other);
 
   // Crashes a site: fail-silent from now on. Messages already in flight
   // toward it are dropped on arrival (immediately when controlled).
@@ -320,9 +327,12 @@ class Network final : public Executor {
   CauseId send_cause_ = kNoCause;
   CauseId delivering_cause_ = kNoCause;
   // Controlled-delivery state: parked flight queue per (src,dst) channel.
+  // A vector, not a deque: an empty one owns no heap block (a deque
+  // allocates ~576 B even while empty, n^2 times per network), and a queue
+  // holds a handful of flights, so shifting it on delivery is noise.
   bool controlled_ = false;
   size_t parked_total_ = 0;
-  std::vector<std::deque<uint32_t>> parked_;
+  std::vector<std::vector<uint32_t>> parked_;
 };
 
 }  // namespace dqme::net

@@ -16,6 +16,16 @@ InvariantChecker::InvariantChecker(net::Network& net, InvariantOptions opts)
   net.subscribe_crash([this](SiteId site) { on_crash(site); });
 }
 
+void InvariantChecker::copy_state_from(const InvariantChecker& other) {
+  ledgers_ = other.ledgers_;
+  fifo_floor_ = other.fifo_floor_;
+  watchdog_armed_ = other.watchdog_armed_;
+  finished_ = other.finished_;
+  checks_ = other.checks_;
+  violations_ = other.violations_;
+  reports_ = other.reports_;
+}
+
 void InvariantChecker::flag(const std::string& what) {
   ++violations_;
   if (reports_.size() < opts_.max_reports) reports_.push_back(what);

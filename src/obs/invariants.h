@@ -83,6 +83,11 @@ class InvariantChecker final : public mutex::SpanObserver {
   // detaches.
   void set_flight_recorder(FlightRecorder* fr) { flightrec_ = fr; }
 
+  // Checkpointing (verify::World): takes over `other`'s ledgers, FIFO
+  // floors, counters and reports. The network, options and flight recorder
+  // stay this checker's own.
+  void copy_state_from(const InvariantChecker& other);
+
   uint64_t checks() const { return checks_; }
   uint64_t violations() const { return violations_; }
   const std::vector<std::string>& reports() const { return reports_; }

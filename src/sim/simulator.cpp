@@ -141,4 +141,18 @@ uint64_t Simulator::run_until(Time until) {
   return n;
 }
 
+void Simulator::copy_state_from(const Simulator& other) {
+  DQME_CHECK_MSG(idle() && other.idle(),
+                 "copy_state_from with events pending");
+  now_ = other.now_;
+  next_seq_ = other.next_seq_;
+  stopped_ = other.stopped_;
+  executed_ = other.executed_;
+  compactions_ = other.compactions_;
+  cancelled_ = other.cancelled_;
+  peak_heap_ = other.peak_heap_;
+  heap_.clear();  // tombstones only
+  tombstones_ = 0;
+}
+
 }  // namespace dqme::sim

@@ -167,6 +167,12 @@ class Simulator {
   // Executes exactly one event if any is pending. Returns true if one ran.
   bool step();
 
+  // Checkpointing (verify::World): takes over `other`'s clock and counters.
+  // Both simulators must be idle — a pending callback captures its owner's
+  // pointers and has no meaning in another world — so every slab slot is
+  // free and the heap holds at most tombstones: nothing else to copy.
+  void copy_state_from(const Simulator& other);
+
   // Makes run()/run_until() return after the current event completes.
   void stop() { stopped_ = true; }
   bool stopped() const { return stopped_; }

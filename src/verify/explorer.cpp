@@ -55,6 +55,7 @@ void merge_counters(ExploreResult& into, const ExploreResult& from) {
   into.truncated += from.truncated;
   into.nodes += from.nodes;
   into.replays += from.replays;
+  into.restores += from.restores;
   into.replay_steps += from.replay_steps;
   into.sleep_skips += from.sleep_skips;
   into.budget_exhausted = into.budget_exhausted || from.budget_exhausted;
@@ -73,12 +74,39 @@ void Explorer::seed(Task task) {
   seeded_ = true;
 }
 
+void Explorer::sync_world(ExploreResult& result) {
+  if (world_ == nullptr) {
+    rebuild_world(result);
+  } else {
+    const size_t base = (prefix_.size() - seed_depth_) /
+                        kCheckpointSpacing * kCheckpointSpacing;
+    world_->copy_state_from(*checkpoints_[base / kCheckpointSpacing]);
+    for (size_t d = seed_depth_ + base; d < prefix_.size(); ++d)
+      world_->apply(prefix_[d]);
+    ++result.restores;
+    result.replay_steps += prefix_.size() - seed_depth_ - base;
+  }
+  world_matches_ = true;
+}
+
 void Explorer::rebuild_world(ExploreResult& result) {
   world_ = std::make_unique<World>(cfg_.world);
-  for (const Action& a : prefix_) world_->apply(a);
-  world_matches_ = true;
+  for (size_t d = 0; d < seed_depth_; ++d) world_->apply(prefix_[d]);
+  for (size_t level = 0;; ++level) {  // checkpoint the levels on the way
+    if (level % kCheckpointSpacing == 0) save_checkpoint(level);
+    if (seed_depth_ + level == prefix_.size()) break;
+    world_->apply(prefix_[seed_depth_ + level]);
+  }
   ++result.replays;
   result.replay_steps += prefix_.size();
+}
+
+void Explorer::save_checkpoint(size_t level) {
+  const size_t i = level / kCheckpointSpacing;
+  if (checkpoints_.size() <= i) checkpoints_.resize(i + 1);
+  if (checkpoints_[i] == nullptr)
+    checkpoints_[i] = std::make_unique<World>(cfg_.world);
+  checkpoints_[i]->copy_state_from(*world_);
 }
 
 bool Explorer::over_budget(const ExploreResult& result) const {
@@ -129,8 +157,13 @@ bool Explorer::try_donate() {
     task.path = base_path_;
     for (size_t i = 0; i < f; ++i)
       task.path.push_back(static_cast<uint32_t>(stack_[i].next - 1));
-    task.frame = frame;                  // remaining siblings move away
-    frame.next = frame.actions.size();   // ... and are consumed locally
+    task.frame = frame;  // remaining siblings move away ...
+    // ... and are cut from the local frame. Truncating, not advancing
+    // `next`, keeps next - 1 naming the child on the stack, which every
+    // later path (violations, donations, suspended tasks) is read from.
+    frame.actions.resize(frame.next);
+    frame.sleep.resize(frame.next);
+    frame.sealed.resize(frame.next);
     cfg_.spill_sink(std::move(task));
     return true;
   }
@@ -155,7 +188,7 @@ ExploreResult Explorer::run() {
 
   if (stack_.empty()) {  // fresh start (vs. a loaded frontier / seed)
     DQME_CHECK(prefix_.empty());
-    rebuild_world(result);
+    sync_world(result);
     std::vector<Action> actions;
     world_->enabled(actions);
     if (world_->quiescent()) {  // degenerate: nothing ever happens
@@ -222,7 +255,7 @@ ExploreResult Explorer::run() {
     const size_t chosen = frame.next++;
     const Action action = frame.actions[chosen];
 
-    if (!world_matches_) rebuild_world(result);
+    if (!world_matches_) sync_world(result);
     world_->apply(action);
     prefix_.push_back(action);
     ++result.nodes;
@@ -308,6 +341,8 @@ ExploreResult Explorer::run() {
       continue;
     }
     stack_.push_back(std::move(child));
+    if ((stack_.size() - 1) % kCheckpointSpacing == 0)
+      save_checkpoint(stack_.size() - 1);
   }
 
   result.complete = result.truncated == 0;
@@ -368,6 +403,7 @@ void Explorer::save_frontier(std::ostream& os) const {
      << ",\"truncated\":" << carried_.truncated
      << ",\"nodes\":" << carried_.nodes
      << ",\"replays\":" << carried_.replays
+     << ",\"restores\":" << carried_.restores
      << ",\"replay_steps\":" << carried_.replay_steps
      << ",\"sleep_skips\":" << carried_.sleep_skips << "}\n";
   for (size_t i = 0; i < stack_.size(); ++i) {
@@ -402,6 +438,7 @@ bool Explorer::load_frontier(std::istream& is, std::string* error) {
   counter("truncated", carried_.truncated);
   counter("nodes", carried_.nodes);
   counter("replays", carried_.replays);
+  counter("restores", carried_.restores);
   counter("replay_steps", carried_.replay_steps);
   counter("sleep_skips", carried_.sleep_skips);
 

@@ -7,10 +7,14 @@
 // complete schedule ends sealed: the full PR-3 invariant set plus the
 // driver-level starvation check run against it.
 //
-// State reconstruction is replay-based ("stateless" model checking in the
-// VeriSoft sense): the World is rebuilt from scratch and the prefix
-// re-applied whenever the search backtracks, trading CPU for zero snapshot
-// machinery — the simulator is deterministic, so replay is exact.
+// The search is stateless in the VeriSoft sense: it never matches or
+// stores visited states, only paths. What changes on backtrack is how the
+// World gets back to the branching node. Every kCheckpointSpacing-th DFS
+// level keeps a checkpoint World (World::copy_state_from); backtracking
+// restores the deepest checkpointed ancestor and re-applies the at most
+// kCheckpointSpacing - 1 actions since. A from-scratch replay of the whole
+// prefix — exact, because the simulator is deterministic — happens once
+// per run, to reach a seeded task's root or a resumed frontier's stack.
 //
 // Reduction: per-node source sets maintained with sleep-set bookkeeping
 // over the dependence relation selected by ExplorerConfig::dpor
@@ -112,12 +116,23 @@ struct Violation {
   std::vector<uint32_t> path;         // DFS index path (see Task::path)
 };
 
+// Checkpoint spacing in DFS levels (see the file comment). A restore costs
+// one World copy plus up to spacing - 1 re-applied actions; a checkpoint
+// costs one World of memory per spaced level per running Explorer, and one
+// copy per push at that level. Measured on dqme_bench's explore_n4 (N=4
+// grid, 4 workers, 4-vCPU VM) against replaying the whole prefix (17.2k
+// schedules/s, 4.86 MB peak RSS): every 8th level 95.7k/s at +4% RSS,
+// every 4th 90.9k/s at +10%, every level 74.1k/s at +40%
+// (docs/VERIFICATION.md).
+inline constexpr size_t kCheckpointSpacing = 8;
+
 struct ExploreResult {
   uint64_t schedules = 0;    // complete (sealed or violating) schedules
   uint64_t truncated = 0;    // paths cut by max_depth, not sealed
   uint64_t nodes = 0;        // actions applied while exploring (not replays)
-  uint64_t replays = 0;      // world rebuilds
-  uint64_t replay_steps = 0; // actions re-applied during rebuilds
+  uint64_t replays = 0;      // from-scratch world rebuilds
+  uint64_t restores = 0;     // backtracks resumed from a checkpoint
+  uint64_t replay_steps = 0; // actions re-applied by rebuilds and restores
   uint64_t sleep_skips = 0;  // branches pruned by the reduction
   bool budget_exhausted = false;
   bool complete = false;     // the whole (reduced) space was covered
@@ -174,7 +189,12 @@ class Explorer {
   const ExplorerConfig& config() const { return cfg_; }
 
  private:
+  // Brings world_ to the node the prefix reaches: restores the deepest
+  // checkpoint above it, or — before the first one exists — rebuilds.
+  void sync_world(ExploreResult& result);
   void rebuild_world(ExploreResult& result);
+  // Copies world_ into the checkpoint of spaced stack level `level`.
+  void save_checkpoint(size_t level);
   void record_violation(std::vector<Action> schedule,
                         std::vector<std::string> reports,
                         std::vector<uint32_t> path, ExploreResult& result);
@@ -189,6 +209,11 @@ class Explorer {
   size_t seed_depth_ = 0;            // prefix length of the seeded task
   std::unique_ptr<World> world_;
   bool world_matches_ = false;  // world_ state == replay of prefix_
+  // checkpoints_[i]: the node at stack level i * kCheckpointSpacing. Every
+  // spaced level below the top of the stack holds a current one once
+  // world_ exists: a push at a spaced level saves, a rebuild saves them
+  // all, and the level-0 frame outlives the search.
+  std::vector<std::unique_ptr<World>> checkpoints_;
   ExploreResult carried_;       // counters restored by load_frontier
   uint64_t seen_epoch_ = 0;     // last observed shared->abort_epoch
   bool ran_ = false;

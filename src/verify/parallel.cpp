@@ -77,10 +77,10 @@ struct Pool {
 
   SharedControl ctl;
 
-  // Per finished task: where it was rooted and what it counted. The merge
-  // happens after join, ordered by root.
+  // Per finished task: where its DFS interval starts and what it counted.
+  // The merge happens after join, ordered by start.
   struct Done {
-    std::vector<uint32_t> root;
+    std::vector<uint32_t> start;
     ExploreResult result;
   };
   std::vector<Done> done;
@@ -114,27 +114,23 @@ void worker_main(Pool& pool, const ExplorerConfig& base) {
       bool requested = false;
       while (pool.queue.empty()) {
         if (pool.stop_dequeue || pool.active == 0) {
-          if (requested)
-            pool.ctl.spill_requests.fetch_sub(1,
-                                              std::memory_order_relaxed);
           pool.cv.notify_all();  // fellow waiters re-check and exit too
           return;
         }
-        if (!requested) {
+        // Post a request on going idle, and again whenever none is left
+        // outstanding. Donors claim requests anonymously, so an idle
+        // worker cannot tell whether its own was answered — another
+        // worker may have taken that task — and it never withdraws one: a
+        // spare request costs one extra donated task, a lost one would
+        // leave this worker idle while others still hold work.
+        if (!requested ||
+            pool.ctl.spill_requests.load(std::memory_order_relaxed) <= 0) {
           requested = true;
           pool.ctl.spill_requests.fetch_add(1, std::memory_order_relaxed);
         }
         // Timed wait: donors have no handle on the cv while exploring, so
         // poll; 5ms is invisible next to any real subtree.
         pool.cv.wait_for(lock, std::chrono::milliseconds(5));
-      }
-      if (requested) {
-        // Best effort: withdraw the request if no donor claimed it. A
-        // donor racing us just queues one extra task — harmless.
-        int cur = pool.ctl.spill_requests.load(std::memory_order_relaxed);
-        while (cur > 0 && !pool.ctl.spill_requests.compare_exchange_weak(
-                              cur, cur - 1, std::memory_order_relaxed)) {
-        }
       }
       if (pool.stop_dequeue) return;
       task = std::move(pool.queue.front());
@@ -152,11 +148,16 @@ void worker_main(Pool& pool, const ExplorerConfig& base) {
         pool.queue.push_back(std::move(donated));
         pool.cv.notify_one();
       };
-      const std::vector<uint32_t> root = task.path;
+      // The task's interval starts at its root's first unexplored child.
+      // A donated task shares its root with the donor's explored siblings:
+      // by root alone it would order before a violation the donor finds
+      // among them, though its own interval lies after that violation.
+      std::vector<uint32_t> start = task.path;
+      start.push_back(static_cast<uint32_t>(task.frame.next));
       if (cfg.stop_on_violation) {
-        cfg.should_abort = [&pool, root]() {
+        cfg.should_abort = [&pool, start]() {
           std::lock_guard<std::mutex> lock(pool.mu);
-          return pool.have_best && path_less(pool.best, root);
+          return pool.have_best && path_less(pool.best, start);
         };
       }
       Explorer explorer(cfg);
@@ -172,7 +173,7 @@ void worker_main(Pool& pool, const ExplorerConfig& base) {
                                 std::make_move_iterator(rest.end()));
           pool.stop_dequeue = true;
         }
-        pool.done.push_back({root, std::move(result)});
+        pool.done.push_back({start, std::move(result)});
         --pool.active;
         pool.cv.notify_all();
       }
@@ -251,7 +252,7 @@ ParallelResult ParallelExplorer::run() {
 
   std::stable_sort(pool.done.begin(), pool.done.end(),
                    [](const Pool::Done& a, const Pool::Done& b) {
-                     return path_less(a.root, b.root);
+                     return path_less(a.start, b.start);
                    });
   out.tasks_run = pool.done.size();
   out.tasks_donated =
@@ -269,13 +270,13 @@ ParallelResult ParallelExplorer::run() {
                    });
 
   if (cfg_.base.stop_on_violation && !violations.empty()) {
-    // Counters: split phase + every task rooted at-or-before the chosen
+    // Counters: split phase + every task starting at-or-before the chosen
     // violation; the violating task's own interval contains it, so
     // "at-or-before" keeps its stopped-short partial. Intervals after it
     // are the work single-threaded DFS would never have started.
     const std::vector<uint32_t>& best = violations.front().path;
     for (const Pool::Done& d : pool.done) {
-      if (path_less(best, d.root)) {
+      if (path_less(best, d.start)) {
         ++out.tasks_discarded;
         continue;
       }
@@ -309,6 +310,7 @@ ParallelResult ParallelExplorer::run() {
   carried_.truncated = merged.truncated;
   carried_.nodes = merged.nodes;
   carried_.replays = merged.replays;
+  carried_.restores = merged.restores;
   carried_.replay_steps = merged.replay_steps;
   carried_.sleep_skips = merged.sleep_skips;
   out.merged = std::move(merged);
@@ -323,6 +325,7 @@ void ParallelExplorer::save_frontier(std::ostream& os) const {
      << ",\"truncated\":" << carried_.truncated
      << ",\"nodes\":" << carried_.nodes
      << ",\"replays\":" << carried_.replays
+     << ",\"restores\":" << carried_.restores
      << ",\"replay_steps\":" << carried_.replay_steps
      << ",\"sleep_skips\":" << carried_.sleep_skips
      << ",\"tasks\":" << leftover_.size() << "}\n";
@@ -411,6 +414,7 @@ bool ParallelExplorer::load_frontier(std::istream& is, std::string* error) {
   counter("truncated", carried_.truncated);
   counter("nodes", carried_.nodes);
   counter("replays", carried_.replays);
+  counter("restores", carried_.restores);
   counter("replay_steps", carried_.replay_steps);
   counter("sleep_skips", carried_.sleep_skips);
   loaded_ = true;

@@ -8,26 +8,30 @@
 //      every node at that depth to the task queue instead of exploring it.
 //      The split is deterministic and identical for every worker count —
 //      that is what makes the merged counters worker-count invariant.
-//   2. Workers: N threads each own a replay World (their private seeded
-//      Explorer) and drain the queue. An idle worker posts a request on
-//      SharedControl::spill_requests; a running Explorer answers by
-//      donating the shallowest open frame of its stack as a fresh Task
-//      ("work stealing" with donor cooperation — no locked deques, the
-//      stacks stay thread-private).
+//   2. Workers: N threads drain the queue, each running a private seeded
+//      Explorer (its World and checkpoints) per task. An idle worker posts
+//      a request on SharedControl::spill_requests; a running Explorer
+//      answers by donating the shallowest open frame of its stack as a
+//      fresh Task ("work stealing" with donor cooperation — no locked
+//      deques, the stacks stay thread-private).
 //   3. Merge: tasks partition the tree into disjoint DFS intervals, so the
 //      structural counters (schedules, nodes, truncated, sleep_skips) are
 //      plain sums, identical no matter how the intervals were assigned or
-//      donated. replays/replay_steps are execution cost, not structure —
-//      they vary with the partition and are reported but never compared.
+//      donated. replays/restores/replay_steps are execution cost, not
+//      structure — they vary with the partition and are reported but
+//      never compared.
 //
 // Violation determinism under stop_on_violation: every violation carries
 // its DFS index path; the merged "first" violation is the lexicographic
-// minimum (== what single-threaded DFS would hit first). A task aborts
-// only when its root path already orders after the current best — so every
-// interval before the final best is fully explored, which is exactly why
-// the minimum is stable. Merged counters include the split phase, every
-// task rooted at-or-before the best violation (the violating task
-// contributes its stopped-short partial), and nothing after it.
+// minimum (== what single-threaded DFS would hit first). A task's
+// interval starts at its root's first unexplored child (root path plus
+// frame.next: a donated task shares its root with the donor's explored
+// siblings). A task aborts only when that start already orders after the
+// current best — so every interval before the final best is fully
+// explored, which is exactly why the minimum is stable. Merged counters
+// include the split phase, every task starting at-or-before the best
+// violation (the violating task contributes its stopped-short partial),
+// and nothing after it.
 // Minimization runs once, on the chosen violation, after the merge.
 //
 // Budgets suspend the whole fleet: the first Explorer over budget sets

@@ -5,8 +5,9 @@
 // site leave the CS, deliver one failure notice, or crash a site. Replaying
 // the same action sequence on a fresh World reconstructs the exact same
 // state — the simulator is deterministic and the controlled Network never
-// samples its delay model — which is what makes the checker stateless and
-// every counterexample a small replayable artifact.
+// samples its delay model — which is what makes a path (not a stored
+// state) the explorer's identity for a node, a parallel task and a
+// frontier entry, and every counterexample a small replayable artifact.
 //
 // The text encoding ("d 0 2;x 1;c 2;n 2 0") and the one-object JSON file
 // format are deliberately trivial: tools/dqme_sim re-reads them with the
@@ -114,6 +115,8 @@ struct WorldConfig {
   // what the lock-table isolation test asserts: schedules over lock 0 are
   // unchanged by the table's existence.
   LockId num_locks = 1;
+
+  friend bool operator==(const WorldConfig&, const WorldConfig&) = default;
 };
 
 // "d 0 2;x 1" <-> actions. decode returns false on malformed input.

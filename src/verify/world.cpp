@@ -133,6 +133,30 @@ World::World(const WorldConfig& cfg, bool capture)
   sim_.run_until(step_);  // drain local self-deliveries of the issue burst
 }
 
+void World::copy_state_from(const World& other) {
+  DQME_CHECK_MSG(cfg_ == other.cfg_, "copy_state_from across configs");
+  DQME_CHECK_MSG(trace_rec_ == nullptr && other.trace_rec_ == nullptr,
+                 "capture-mode worlds cannot be copied");
+  sim_.copy_state_from(other.sim_);
+  net_.copy_state_from(other.net_);
+  for (size_t i = 0; i < sites_.size(); ++i)
+    sites_[i]->copy_state_from(*other.sites_[i]);
+  checker_->copy_state_from(*other.checker_);
+  remaining_ = other.remaining_;
+  aborted_ = other.aborted_;
+  notices_ = other.notices_;
+  crashes_done_ = other.crashes_done_;
+  step_ = other.step_;
+  sealed_ = other.sealed_;
+  seal_reports_ = other.seal_reports_;
+  grant_rewritten_ = other.grant_rewritten_;
+  transfer_lost_ = other.transfer_lost_;
+  release_lost_ = other.release_lost_;
+  lost_arbiter_ = other.lost_arbiter_;
+  lost_holder_ = other.lost_holder_;
+  fifo_inverted_ = other.fifo_inverted_;
+}
+
 void World::issue_if_hungry(SiteId site) {
   const auto s = static_cast<size_t>(site);
   if (remaining_[s] > 0 && net_.alive(site) && sites_[s]->idle())
@@ -207,9 +231,8 @@ bool World::apply(const Action& action) {
 
 void World::enabled(std::vector<Action>& out) const {
   out.clear();
-  std::vector<net::Network::Channel> chans;
-  net_.parked_channels(chans);
-  for (const auto& c : chans)
+  net_.parked_channels(chans_scratch_);
+  for (const auto& c : chans_scratch_)
     out.push_back(Action{ActionKind::kDeliver, c.src, c.dst});
   for (SiteId i = 0; i < cfg_.n; ++i)
     if (net_.alive(i) && sites_[static_cast<size_t>(i)]->in_cs())

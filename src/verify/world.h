@@ -14,10 +14,14 @@
 // checker's per-channel FIFO monotonicity check stays meaningful under
 // explorer-chosen orders.
 //
-// Worlds are cheap to build and never copied: the explorer reconstructs a
-// prefix by replaying its actions on a fresh World ("stateless" model
-// checking). Determinism holds because the controlled Network never samples
-// its delay model and the protocols schedule no timers of their own.
+// A World is plain data between actions: the controlled Network never
+// samples its delay model and the protocols schedule no timers, so the
+// simulator is idle and the state is the sites' protocol tables, the parked
+// channel queues, the checker's ledger and the World's own counters. That is
+// what makes it both replayable — the same actions on a fresh World reach
+// the same state — and copyable: copy_state_from() is how the explorer
+// checkpoints a node and later backtracks to it without replaying the
+// prefix.
 #pragma once
 
 #include <memory>
@@ -44,6 +48,14 @@ class World {
   explicit World(const WorldConfig& cfg, bool capture = false);
   World(const World&) = delete;
   World& operator=(const World&) = delete;
+
+  // Checkpointing: overwrites this World's run state with `other`'s, a
+  // World built from the same config, so both continue identically. Layer
+  // by layer: the idle simulator's clock and counters, the controlled
+  // network's flights, queues, stats and payloads, every site's protocol
+  // state, the checker's ledger, and this World's own fields. Capture-mode
+  // worlds cannot take part: their recorders hold history.
+  void copy_state_from(const World& other);
 
   // Performs one action. Returns false (and changes nothing but the clock)
   // when the action is not applicable — an empty channel, an exit of a
@@ -74,6 +86,10 @@ class World {
   Time now() const { return sim_.now(); }
   const WorldConfig& config() const { return cfg_; }
   const net::Network& network() const { return net_; }
+  const mutex::MutexSite& site(SiteId id) const {
+    return *sites_[static_cast<size_t>(id)];
+  }
+  const obs::InvariantChecker& checker() const { return *checker_; }
 
   // Capture output (null unless constructed with capture = true).
   const net::TraceRecorder* trace_recorder() const { return trace_rec_.get(); }
@@ -132,6 +148,9 @@ class World {
   SiteId lost_arbiter_ = kNoSite;
   SiteId lost_holder_ = kNoSite;
   bool fifo_inverted_ = false;
+
+  // enabled()'s channel list, kept so the per-node call does not allocate.
+  mutable std::vector<net::Network::Channel> chans_scratch_;
 };
 
 }  // namespace dqme::verify

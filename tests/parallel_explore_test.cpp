@@ -4,6 +4,7 @@
 // counts (v2 multi-task format plus the sequential v1 format).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <sstream>
 #include <thread>
@@ -223,6 +224,73 @@ TEST(ParallelExplorer, DonationKeepsWorkersBusyOnSkewedTree) {
   const ExploreResult seq = Explorer(seq_cfg).run();
   expect_same_structure(seq, par.merged);
   EXPECT_GT(par.tasks_donated, 0u);
+}
+
+// Donation at every opportunity, driven on one thread so it is
+// deterministic: each seeded Explorer gives its shallowest open frame away
+// whenever it can, so nearly every frame ends up split between a donor
+// and a donated task. Every violation must still carry the path and
+// schedule the sequential DFS reports for it — a donor that mislabels its
+// own in-flight child would order the merge wrongly — and the counters
+// must sum to the sequential ones.
+TEST(ParallelExplorer, EagerDonationKeepsViolationPathsExact) {
+  ExplorerConfig base;
+  base.world = small_config();
+  base.world.mutation = Mutation::kLostTransfer;
+  base.dpor = Dpor::kSource;
+  base.stop_on_violation = false;
+  base.minimize = false;
+  const ExploreResult seq = Explorer(base).run();
+  ASSERT_TRUE(seq.complete);
+  ASSERT_FALSE(seq.violations.empty());
+
+  SharedControl ctl;
+  std::vector<Task> queue;
+  ExplorerConfig ec = base;
+  ec.shared = &ctl;
+  ec.spill_sink = [&](Task&& t) {
+    queue.push_back(std::move(t));
+    ctl.spill_requests.fetch_add(1);  // ask again straight away
+  };
+  Task root;
+  {
+    const World initial(base.world);
+    initial.enabled(root.frame.actions);
+  }
+  root.frame.sleep.assign(root.frame.actions.size(), 0);
+  root.frame.sealed.assign(root.frame.actions.size(), 0);
+  queue.push_back(std::move(root));
+
+  ExploreResult total;
+  std::vector<Violation> found;
+  uint64_t tasks = 0;
+  while (!queue.empty()) {
+    Task task = std::move(queue.back());
+    queue.pop_back();
+    ++tasks;
+    ctl.spill_requests.store(1);
+    Explorer explorer(ec);
+    explorer.seed(std::move(task));
+    ExploreResult r = explorer.run();
+    merge_counters(total, r);
+    for (Violation& v : r.violations) found.push_back(std::move(v));
+  }
+  EXPECT_GT(tasks, 100u);
+  expect_same_structure(seq, total);
+
+  const auto by_path = [](const Violation& a, const Violation& b) {
+    return a.path < b.path;
+  };
+  std::vector<Violation> want = seq.violations;
+  std::sort(want.begin(), want.end(), by_path);
+  std::sort(found.begin(), found.end(), by_path);
+  ASSERT_EQ(found.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(found[i].path, want[i].path) << "violation " << i;
+    EXPECT_EQ(encode_actions(found[i].schedule),
+              encode_actions(want[i].schedule))
+        << "violation " << i;
+  }
 }
 
 TEST(ParallelExplorer, EightWorkersOutrunOneOnRealCores) {

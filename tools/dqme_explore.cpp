@@ -303,8 +303,9 @@ void print_result(const char* label, const verify::ExplorerConfig& cfg,
     std::cout << "  workers " << out.workers << "  tasks " << out.tasks_run
               << " (" << out.tasks_donated << " donated)\n";
   std::cout << "  schedules " << r.schedules << " (truncated " << r.truncated
-            << ")  nodes " << r.nodes << "  replays " << r.replays << " ("
-            << r.replay_steps << " steps)  pruned " << r.sleep_skips
+            << ")  nodes " << r.nodes << "  replays " << r.replays
+            << "  restores " << r.restores << " (" << r.replay_steps
+            << " steps)  pruned " << r.sleep_skips
             << "  " << (r.complete            ? "COMPLETE"
                         : r.budget_exhausted  ? "BUDGET EXHAUSTED"
                                               : "STOPPED")
@@ -331,7 +332,8 @@ void write_json_report(std::ostream& os, const verify::ExplorerConfig& cfg,
      << verify::to_string(cfg.dpor) << "\",\"workers\":" << out.workers
      << ",\"schedules\":" << r.schedules
      << ",\"truncated\":" << r.truncated << ",\"nodes\":" << r.nodes
-     << ",\"replays\":" << r.replays << ",\"replay_steps\":" << r.replay_steps
+     << ",\"replays\":" << r.replays << ",\"restores\":" << r.restores
+     << ",\"replay_steps\":" << r.replay_steps
      << ",\"sleep_skips\":" << r.sleep_skips << ",\"complete\":"
      << (r.complete ? "true" : "false") << ",\"budget_exhausted\":"
      << (r.budget_exhausted ? "true" : "false")
