@@ -3,16 +3,7 @@
 // Conventions: T = 1000 ticks, closed loop = the paper's "heavy load",
 // open loop Poisson arrivals = "light load" (§5).
 //
-// Every bench accepts the same flags (parse_bench_flags):
-//   --jobs=N    worker threads for sweep-based suites (0 = all cores)
-//   --seeds=K   replications per row (overrides each suite's default)
-//   --quick     shrink warmup/measure windows ~8x (CI smoke)
-//   --check     attach the online invariant checker to every run; any
-//               violation fails the suite (exit 1 + "ok": false in JSON)
-//   --json[=PATH]  write machine-readable results (default BENCH_<suite>.json)
-//   --trace-out=FILE  also record one short run of the suite's first/
-//                 representative config and write a Chrome trace-event JSON
-//                 (load in chrome://tracing or ui.perfetto.dev)
+// Every bench accepts the same flags (parse_bench_flags; SUITE --help).
 #pragma once
 
 #include <unistd.h>
@@ -27,6 +18,8 @@
 #include <string>
 #include <vector>
 
+#include "common/flags.h"
+#include "common/json.h"
 #include "harness/experiment.h"
 #include "harness/table.h"
 #include "obs/chrome_trace.h"
@@ -58,88 +51,54 @@ struct BenchOptions {
   std::string suite;
 };
 
-inline void bench_usage(const char* suite) {
-  std::cerr << "usage: " << suite
-            << " [--jobs=N] [--seeds=K] [--quick] [--check] [--json[=PATH]]"
-               " [--trace-out=FILE] [--threads=K (rt suites only)]\n";
-}
-
-// Parses the shared bench flags; exits(2) on an unknown flag. Flags it
-// consumes are removed from argv (argc updated), so suites with their own
-// argument handling (micro_core's google-benchmark flags) can parse the
-// remainder. `accepts_threads` is opted into by real-threads suites
-// (rt_core); simulator suites reject --threads loudly — the discrete-event
-// engine is single-logical-threaded per run, so the flag would silently
-// mean nothing there.
+// Parses the shared bench flags; exits 2 on bad input. A leftover
+// argument is a typo'd flag — silently running with defaults would
+// masquerade as the requested run — unless the suite parses the remainder
+// itself (`pass_through`: micro_core's google-benchmark flags), which then
+// stays in argv (argc updated). `accepts_threads` is opted into by
+// real-threads suites (rt_core); simulator suites do not take --threads —
+// the discrete-event engine is single-logical-threaded per run, so the
+// flag would silently mean nothing there (use --jobs=N for sweep
+// parallelism).
 inline BenchOptions parse_bench_flags(int& argc, char** argv,
                                       const std::string& suite,
-                                      bool accepts_threads = false) {
+                                      bool accepts_threads = false,
+                                      bool pass_through = false) {
   BenchOptions o;
   o.suite = suite;
+  flags::Table t(suite);
+  t.number("--jobs", "N", "sweep worker threads (0 = all cores)", o.jobs, 0)
+      .number("--seeds", "K",
+              "replications per row (overrides the suite\ndefault)",
+              o.seeds, 1)
+      .flag("--quick", "shrink simulated-time windows ~8x (CI smoke)",
+            o.quick)
+      .flag("--check",
+            "run the online invariant checker over every\n"
+            "run; any violation fails the suite",
+            o.check)
+      .optional("--json", "PATH",
+                "write machine-readable results\n"
+                "(default BENCH_<suite>.json)",
+                o.json, o.json_path)
+      .text("--trace-out", "FILE",
+            "record one configuration and export a\n"
+            "Chrome trace-event JSON",
+            o.trace_out);
+  if (accepts_threads)
+    t.number("--threads", "K",
+             "restrict the real-threads grid to K pump\nthreads", o.threads,
+             2);
+  const std::vector<std::string> rest =
+      t.parse_or_exit(argc, argv, pass_through);
   int keep = 1;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--threads=", 0) == 0) {
-      if (!accepts_threads) {
-        std::cerr << suite
-                  << ": --threads is only meaningful for real-threads (rt) "
-                     "suites; this suite runs on the discrete-event "
-                     "simulator (use --jobs=N for sweep parallelism)\n";
-        std::exit(2);
-      }
-      o.threads = std::atoi(arg.c_str() + 10);
-      if (o.threads < 2) {
-        std::cerr << suite << ": --threads wants an integer >= 2\n";
-        std::exit(2);
-      }
-    } else if (arg.rfind("--jobs=", 0) == 0) {
-      o.jobs = std::atoi(arg.c_str() + 7);
-      if (o.jobs < 0) {
-        bench_usage(suite.c_str());
-        std::exit(2);
-      }
-    } else if (arg.rfind("--seeds=", 0) == 0) {
-      o.seeds = std::atoi(arg.c_str() + 8);
-      if (o.seeds < 1) {
-        bench_usage(suite.c_str());
-        std::exit(2);
-      }
-    } else if (arg == "--quick") {
-      o.quick = true;
-    } else if (arg == "--check") {
-      o.check = true;
-    } else if (arg == "--json") {
-      o.json = true;
-    } else if (arg.rfind("--json=", 0) == 0) {
-      o.json = true;
-      o.json_path = arg.substr(7);
-    } else if (arg.rfind("--trace-out=", 0) == 0) {
-      o.trace_out = arg.substr(12);
-      if (o.trace_out.empty()) {
-        bench_usage(suite.c_str());
-        std::exit(2);
-      }
-    } else if (arg == "--help" || arg == "-h") {
-      bench_usage(suite.c_str());
-      std::exit(0);
-    } else {
-      argv[keep++] = argv[i];  // not ours — leave for the suite
-    }
-  }
+  for (int i = 1; i < argc && static_cast<size_t>(keep - 1) < rest.size();
+       ++i)
+    if (rest[static_cast<size_t>(keep - 1)] == argv[i]) argv[keep++] = argv[i];
   argc = keep;
   if (o.json && o.json_path.empty()) o.json_path = "BENCH_" + suite + ".json";
   if (o.quick) g_time_divisor = 8;
   return o;
-}
-
-// For suites with no argument handling of their own: a leftover argument is
-// a typo'd flag, and silently running with defaults would masquerade as the
-// requested run. micro_core skips this (google-benchmark flags pass through).
-inline void reject_extra_args(int argc, char** argv, const std::string& suite) {
-  if (argc <= 1) return;
-  std::cerr << suite << ": unknown argument '" << argv[1] << "'\n";
-  bench_usage(suite.c_str());
-  std::exit(2);
 }
 
 inline harness::ExperimentConfig heavy(mutex::Algo algo, int n,
@@ -168,10 +127,7 @@ inline harness::ExperimentConfig open_load(mutex::Algo algo, int n,
                                            const std::string& quorum = "grid",
                                            uint64_t seed = 1) {
   harness::ExperimentConfig cfg = heavy(algo, n, quorum, seed);
-  cfg.workload.mode = harness::Workload::Config::Mode::kOpen;
-  const double capacity =
-      1.0 / static_cast<double>(2 * kT + cfg.workload.cs_duration);
-  cfg.workload.arrival_rate = relative_load * capacity / n;
+  harness::set_open_load(cfg, relative_load);
   cfg.measure = scale_time(4'000'000);
   return cfg;
 }
@@ -230,15 +186,6 @@ struct JsonMetric {
   bool oversubscribed = false;
 };
 
-inline std::string json_escape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
-}
-
 inline std::string json_num(double v) {
   char buf[64];
   std::snprintf(buf, sizeof buf, "%.17g", v);
@@ -261,9 +208,9 @@ inline void write_provenance(std::ostream& f) {
   if (gmtime_r(&t, &tmv) != nullptr)
     std::strftime(date, sizeof date, "%Y-%m-%dT%H:%M:%SZ", &tmv);
   const char* commit = std::getenv("DQME_COMMIT");
-  f << "\"provenance\": {\"host\": \"" << json_escape(host)
-    << "\", \"date\": \"" << date << "\", \"commit\": \""
-    << json_escape(commit != nullptr ? commit : "unknown") << "\"}";
+  f << "\"provenance\": {\"host\": " << json_string(host)
+    << ", \"date\": \"" << date << "\", \"commit\": "
+    << json_string(commit != nullptr ? commit : "unknown") << "}";
 }
 
 // One flat, self-describing file per suite so the perf trajectory can be
@@ -291,7 +238,7 @@ inline void write_bench_json(const BenchOptions& opts, bool ok,
     return;
   }
   f << "{\n"
-    << "  \"suite\": \"" << json_escape(opts.suite) << "\",\n"
+    << "  \"suite\": " << json_string(opts.suite) << ",\n"
     << "  \"ok\": " << (ok ? "true" : "false") << ",\n"
     << "  \"jobs\": " << opts.jobs << ",\n"
     << "  \"seeds\": " << opts.seeds << ",\n"
@@ -303,9 +250,9 @@ inline void write_bench_json(const BenchOptions& opts, bool ok,
   f << ",\n"
     << "  \"metrics\": [";
   for (size_t i = 0; i < metrics.size(); ++i) {
-    f << (i ? "," : "") << "\n    {\"suite\": \"" << json_escape(opts.suite)
-      << "\", \"metric\": \"" << json_escape(metrics[i].metric)
-      << "\", \"mean\": " << json_num(metrics[i].mean)
+    f << (i ? "," : "") << "\n    {\"suite\": " << json_string(opts.suite)
+      << ", \"metric\": " << json_string(metrics[i].metric)
+      << ", \"mean\": " << json_num(metrics[i].mean)
       << ", \"sd\": " << json_num(metrics[i].sd)
       << (metrics[i].oversubscribed ? ", \"oversubscribed\": true" : "")
       << "}";

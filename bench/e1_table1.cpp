@@ -21,7 +21,6 @@ int main(int argc, char** argv) {
   using harness::Table;
 
   auto opts = bench::parse_bench_flags(argc, argv, "e1_table1");
-  bench::reject_extra_args(argc, argv, "e1_table1");
   const int n = 25;
   struct AlgoRow {
     mutex::Algo algo;

@@ -20,7 +20,6 @@ int main(int argc, char** argv) {
   using harness::Table;
 
   auto opts = bench::parse_bench_flags(argc, argv, "e3_sync_delay");
-  bench::reject_extra_args(argc, argv, "e3_sync_delay");
 
   const bench::MetricDef kDelay{
       "delay/T", [](const ExperimentResult& r) { return r.sync_delay_in_t; }};

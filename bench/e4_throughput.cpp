@@ -16,7 +16,6 @@ int main(int argc, char** argv) {
   using harness::Table;
 
   auto opts = bench::parse_bench_flags(argc, argv, "e4_throughput");
-  bench::reject_extra_args(argc, argv, "e4_throughput");
 
   const bench::MetricDef kCsPerT{
       "cs_per_T", [](const ExperimentResult& r) {

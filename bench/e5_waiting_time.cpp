@@ -17,7 +17,6 @@ int main(int argc, char** argv) {
   using harness::Table;
 
   auto opts = bench::parse_bench_flags(argc, argv, "e5_waiting_time");
-  bench::reject_extra_args(argc, argv, "e5_waiting_time");
 
   const bench::MetricDef kWaitT{"waiting_mean_t",
                                 [](const ExperimentResult& r) {

@@ -22,7 +22,6 @@ int main(int argc, char** argv) {
   using harness::Table;
 
   auto opts = bench::parse_bench_flags(argc, argv, "e6_quorum_size");
-  bench::reject_extra_args(argc, argv, "e6_quorum_size");
 
   struct Series {
     const char* kind;

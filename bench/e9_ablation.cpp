@@ -19,7 +19,6 @@ int main(int argc, char** argv) {
   using harness::Table;
 
   auto opts = bench::parse_bench_flags(argc, argv, "e9_ablation");
-  bench::reject_extra_args(argc, argv, "e9_ablation");
 
   const bench::MetricDef kDelayT{
       "delay_t",

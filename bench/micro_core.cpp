@@ -198,7 +198,9 @@ BENCHMARK(BM_EndToEndSimulatedSecond)->Unit(benchmark::kMillisecond);
 }  // namespace
 
 int main(int argc, char** argv) {
-  auto opts = dqme::bench::parse_bench_flags(argc, argv, "micro_core");
+  auto opts = dqme::bench::parse_bench_flags(argc, argv, "micro_core",
+                                             /*accepts_threads=*/false,
+                                             /*pass_through=*/true);
 
   const auto wall_start = std::chrono::steady_clock::now();
   const uint64_t events = opts.quick ? 200'000 : 1'000'000;

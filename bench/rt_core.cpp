@@ -49,7 +49,6 @@ struct Row {
 int main(int argc, char** argv) {
   auto opts = bench::parse_bench_flags(argc, argv, "rt_core",
                                        /*accepts_threads=*/true);
-  bench::reject_extra_args(argc, argv, "rt_core");
   const auto wall_start = std::chrono::steady_clock::now();
 
   const struct {

@@ -32,7 +32,6 @@ int main(int argc, char** argv) {
   using harness::Table;
 
   auto opts = bench::parse_bench_flags(argc, argv, "x3_lock_service");
-  bench::reject_extra_args(argc, argv, "x3_lock_service");
 
   const bench::MetricDef kThroughputT{
       "throughput_per_t",

@@ -28,6 +28,16 @@ namespace detail {
 }
 }  // namespace detail
 
+// A site count checked before use as a container size: member-initializer
+// lists size vectors from it before a constructor body could check it, and
+// a negative count would surface as std::length_error instead.
+inline size_t site_count(int n) {
+  if (n < 1)
+    detail::check_failed("n >= 1", __FILE__, __LINE__,
+                         "need at least one site, got " + std::to_string(n));
+  return static_cast<size_t>(n);
+}
+
 }  // namespace dqme
 
 #define DQME_CHECK(expr)                                              \

@@ -4,11 +4,12 @@
 #include <chrono>
 #include <cmath>
 
+#include "common/flags.h"
+#include "harness/deployment.h"
 #include "harness/sweep.h"
 #include "obs/flight_recorder.h"
 #include "obs/invariants.h"
 #include "obs/model.h"
-#include "quorum/factory.h"
 
 namespace dqme::harness {
 
@@ -56,7 +57,7 @@ Time auto_liveness_bound(const ExperimentConfig& cfg) {
 // reconstructions since the previous boundary.
 struct TimelineSampler {
   net::Network& net;
-  const std::vector<mutex::MutexSite*>& sites;
+  const Deployment& dep;
   obs::Timeline& tl;
   obs::Timeline::Counter& wire;
   obs::Timeline::Counter& ctrl;
@@ -67,24 +68,16 @@ struct TimelineSampler {
   uint64_t prev_wire = 0, prev_ctrl = 0, prev_piggy = 0;
   uint64_t prev_recoveries = 0;
 
-  TimelineSampler(net::Network& n, const std::vector<mutex::MutexSite*>& s,
-                  obs::Timeline& t, Time end_at)
+  TimelineSampler(net::Network& n, const Deployment& d, obs::Timeline& t,
+                  Time end_at)
       : net(n),
-        sites(s),
+        dep(d),
         tl(t),
         wire(t.counter("net.wire_msgs")),
         ctrl(t.counter("net.ctrl_msgs")),
         piggy(t.counter("net.piggybacked_msgs")),
         mpf(t.gauge("net.msgs_per_flight")),
         end(end_at) {}
-
-  uint64_t recoveries_total() const {
-    uint64_t r = 0;
-    for (const auto* s : sites)
-      if (const auto* cs = dynamic_cast<const core::CaoSinghalSite*>(s))
-        r += cs->protocol_stats().recoveries;
-    return r;
-  }
 
   void sample(Time now) {
     const Time in_window = now > 0 ? now - 1 : 0;
@@ -101,7 +94,7 @@ struct TimelineSampler {
     prev_ctrl = ns.control_messages;
     prev_piggy = ns.piggybacked_messages;
 
-    const uint64_t rec = recoveries_total();
+    const uint64_t rec = dep.totals().protocol_stats.recoveries;
     if (rec > prev_recoveries) {
       tl.mark("recovery x" + std::to_string(rec - prev_recoveries),
               in_window);
@@ -145,30 +138,16 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
     span_rec = std::make_unique<obs::SpanRecorder>(network, cap);
   }
 
-  std::unique_ptr<quorum::QuorumSystem> quorums;
-  if (mutex::algo_uses_quorum(cfg.algo))
-    quorums = quorum::make_quorum_system(cfg.quorum, cfg.n);
-
-  std::vector<std::unique_ptr<mutex::MutexSite>> sites;
-  std::vector<mutex::MutexSite*> raw;
-  sites.reserve(static_cast<size_t>(cfg.n));
-  for (SiteId id = 0; id < cfg.n; ++id) {
-    sites.push_back(
-        mutex::make_site(cfg.algo, id, network, quorums.get(), cfg.options));
-    network.attach(id, sites.back().get());
-    raw.push_back(sites.back().get());
-  }
-
-  if (span_rec) span_rec->attach_all(sites);
+  const Deployment dep(cfg.algo, cfg.n, cfg.quorum, cfg.options, network);
+  if (span_rec) span_rec->attach_all(dep.sites());
 
   std::unique_ptr<obs::InvariantChecker> checker;
   if (cfg.check_invariants) {
-    obs::InvariantOptions iopts;
-    iopts.liveness_bound =
-        cfg.liveness_bound > 0 ? cfg.liveness_bound : auto_liveness_bound(cfg);
-    iopts.quorum_arbitration = mutex::algo_uses_quorum(cfg.algo);
-    checker = std::make_unique<obs::InvariantChecker>(network, iopts);
-    checker->attach_all(sites);
+    checker = std::make_unique<obs::InvariantChecker>(
+        network, dep.invariant_options(cfg.liveness_bound > 0
+                                           ? cfg.liveness_bound
+                                           : auto_liveness_bound(cfg)));
+    checker->attach_all(dep.sites());
   }
 
   ExperimentResult res;
@@ -198,11 +177,11 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
   wl.seed = cfg.seed * 104729 + 7;
   // The lock table is sized once, in AlgoOptions; the workload follows it.
   wl.num_locks = cfg.options.num_locks;
-  Workload workload(sim, raw, wl, &metrics);
+  Workload workload(sim, dep.sites(), wl, &metrics);
 
   core::FailureDetector detector(network, cfg.detection_latency,
                                  cfg.detection_jitter, cfg.seed * 31 + 5);
-  for (SiteId id = 0; id < cfg.n; ++id) detector.attach(id, raw[static_cast<size_t>(id)]);
+  for (SiteId id = 0; id < cfg.n; ++id) detector.attach(id, &dep.site(id));
   for (const auto& crash : cfg.crashes) {
     DQME_CHECK(0 <= crash.victim && crash.victim < cfg.n);
     sim.schedule_at(crash.at, [&detector, &workload, victim = crash.victim] {
@@ -219,7 +198,7 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
     for (const auto& crash : cfg.crashes)
       res.timeline.mark("crash site=" + std::to_string(crash.victim),
                         crash.at);
-    sampler = std::make_unique<TimelineSampler>(network, raw, res.timeline,
+    sampler = std::make_unique<TimelineSampler>(network, dep, res.timeline,
                                                 cfg.warmup + cfg.measure);
     sampler->start();
   }
@@ -251,28 +230,11 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
   res.demands_issued = workload.demands_issued();
   res.demands_completed = workload.demands_completed();
   res.demands_aborted = workload.demands_aborted();
-  if (quorums) res.mean_quorum_size = quorums->mean_quorum_size();
-  for (const auto& s : sites) {
-    res.stale_drops += s->stale_drops();
-    if (const auto* cs = dynamic_cast<const core::CaoSinghalSite*>(s.get())) {
-      const auto& c = cs->case_stats();
-      res.case_stats.grant_free += c.grant_free;
-      res.case_stats.c1_empty_higher += c.c1_empty_higher;
-      res.case_stats.c2_empty_lower += c.c2_empty_lower;
-      res.case_stats.c3_fail_newcomer += c.c3_fail_newcomer;
-      res.case_stats.c4_displace_head += c.c4_displace_head;
-      res.case_stats.c5_beats_lock += c.c5_beats_lock;
-      res.case_stats.c6_between += c.c6_between;
-      const auto& p = cs->protocol_stats();
-      res.protocol_stats.yields_sent += p.yields_sent;
-      res.protocol_stats.inquires_deferred += p.inquires_deferred;
-      res.protocol_stats.transfers_accepted += p.transfers_accepted;
-      res.protocol_stats.transfers_ignored += p.transfers_ignored;
-      res.protocol_stats.replies_forwarded += p.replies_forwarded;
-      res.protocol_stats.replies_direct += p.replies_direct;
-      res.protocol_stats.recoveries += p.recoveries;
-    }
-  }
+  if (dep.quorums()) res.mean_quorum_size = dep.quorums()->mean_quorum_size();
+  const Deployment::Totals totals = dep.totals();
+  res.stale_drops = totals.stale_drops;
+  res.case_stats = totals.case_stats;
+  res.protocol_stats = totals.protocol_stats;
   res.sync_delay_in_t = res.summary.sync_delay_contended /
                         static_cast<double>(cfg.mean_delay);
   if (checker) {
@@ -392,6 +354,72 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
     cfg.capture->span_events_dropped = span_rec->dropped();
   }
   return res;
+}
+
+void set_open_load(ExperimentConfig& cfg, double relative_load) {
+  cfg.workload.mode = Workload::Config::Mode::kOpen;
+  const double capacity = 1.0 / static_cast<double>(
+                                    2 * cfg.mean_delay +
+                                    cfg.workload.cs_duration);
+  cfg.workload.arrival_rate = relative_load * capacity / cfg.n;
+}
+
+void add_algo_flag(flags::Table& t, mutex::Algo& algo) {
+  std::vector<std::string> names;
+  std::string help;  // the names, three to a line
+  for (mutex::Algo a : mutex::all_algos()) {
+    names.emplace_back(mutex::to_string(a));
+    help += (names.size() == 1        ? ""
+             : names.size() % 3 == 1 ? " |\n"
+                                     : " | ") +
+            names.back();
+  }
+  t.choice("--algo", "NAME",
+           help + "\n(default " + std::string(mutex::to_string(algo)) + ")",
+           std::move(names),
+           [&algo](size_t i) { algo = mutex::all_algos()[i]; });
+}
+
+void add_experiment_flags(flags::Table& t, ExperimentConfig& cfg,
+                          double& rate) {
+  add_algo_flag(t, cfg.algo);
+  t.number("--n", "N", "number of sites (default 25)", cfg.n, 1)
+      .text("--quorum", "KIND",
+            "grid | fpp | tree | majority | hqc |\n"
+            "gridset[:G] | rst[:G] | singleton | all (default grid)",
+            cfg.quorum)
+      .number("--t", "TICKS", "mean message delay T (default 1000)",
+              cfg.mean_delay, Time{1})
+      .choice("--load", "MODE", "closed (saturation, default) | open",
+              {"closed", "open"},  // Mode's enumerator order
+              [&cfg](size_t i) {
+                cfg.workload.mode = static_cast<Workload::Config::Mode>(i);
+              })
+      .value("--rate", "R",
+             "open loop: offered load as a fraction of\n"
+             "1/(2T+E) aggregate capacity (default 0.5)",
+             [&rate](const std::string& v) {
+               rate = flags::parse_number<double>(v, "--rate", 0);
+               if (rate == 0) throw flags::UsageError("--rate must be > 0");
+             })
+      .number("--warmup", "TICKS", "(default 200000)", cfg.warmup, Time{0})
+      .number("--measure", "TICKS", "(default 2000000)", cfg.measure,
+              Time{1})
+      .number("--seed", "S", "(default 1)", cfg.seed)
+      .flag("--ft", "enable the §6 fault-tolerance layer",
+            cfg.options.fault_tolerant)
+      .value("--crash", "T:SITE", "crash SITE at time T (repeatable)",
+             [&cfg](const std::string& v) {
+               const auto colon = v.find(':');
+               if (colon == std::string::npos)
+                 throw flags::UsageError("--crash expects T:SITE, got '" + v +
+                                         "'");
+               cfg.crashes.push_back(
+                   {flags::parse_number<Time>(v.substr(0, colon),
+                                              "--crash time", 0),
+                    flags::parse_number<SiteId>(v.substr(colon + 1),
+                                                "--crash site", 0)});
+             });
 }
 
 std::vector<ExperimentResult> replicate(const ExperimentConfig& cfg,

@@ -16,6 +16,10 @@
 #include "obs/critpath.h"
 #include "quorum/quorum_system.h"
 
+namespace dqme::flags {
+class Table;
+}  // namespace dqme::flags
+
 namespace dqme::harness {
 
 struct ExperimentConfig {
@@ -147,6 +151,20 @@ struct ExperimentResult {
 };
 
 ExperimentResult run_experiment(const ExperimentConfig& cfg);
+
+// Open loop at `relative_load` of the slowest baseline's saturation
+// throughput, 1/(2T+E) (Maekawa's cycle), split evenly over the N sites.
+void set_open_load(ExperimentConfig& cfg, double relative_load);
+
+// --algo NAME, bound to `algo`; its value on entry is the documented
+// default.
+void add_algo_flag(flags::Table& t, mutex::Algo& algo);
+
+// The experiment flags dqme_sim and dqme_check share, bound to `cfg`.
+// --rate lands in `rate`: it depends on --t, --cs and --n, so apply it
+// with set_open_load once the whole command line is parsed.
+void add_experiment_flags(flags::Table& t, ExperimentConfig& cfg,
+                          double& rate);
 
 // Mean and sample standard deviation of a metric across replications.
 struct Replicated {

@@ -27,7 +27,6 @@ enum class Algo {
 struct AlgoOptions {
   bool piggyback = true;       // piggyback inquire+transfer / reply+transfer
   bool fault_tolerant = false; // enable the §6 recovery layer (Cao-Singhal)
-  Time failure_probe_interval = 0;  // reserved
   // Lock-table size. Dense-id contract: every site arbitrates exactly
   // num_locks independent lock objects addressed by LockId 0..num_locks-1
   // (no gaps — LockIds index per-lock state tables directly). make_site

@@ -9,10 +9,9 @@ Network::Network(sim::Simulator& sim, int n, std::unique_ptr<DelayModel> delay,
     : sim_(sim),
       delay_(std::move(delay)),
       rng_(seed),
-      sites_(static_cast<size_t>(n), nullptr),
+      sites_(site_count(n), nullptr),
       alive_(static_cast<size_t>(n), true),
       last_delivery_(static_cast<size_t>(n) * static_cast<size_t>(n), 0) {
-  DQME_CHECK(n > 0);
   DQME_CHECK(delay_ != nullptr);
 }
 

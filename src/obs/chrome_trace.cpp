@@ -4,18 +4,11 @@
 #include <string_view>
 #include <tuple>
 
+#include "common/json.h"
+
 namespace dqme::obs {
 
 namespace {
-
-void write_json_string(std::ostream& os, std::string_view s) {
-  os << '"';
-  for (char c : s) {
-    if (c == '"' || c == '\\') os << '\\';
-    os << c;
-  }
-  os << '"';
-}
 
 // Emits one trace event object. `args_json` is pre-rendered ("{...}") or
 // empty. Keeps every record on one line so the file greps well.
@@ -29,9 +22,9 @@ class EventWriter {
              SiteId tid, std::string_view extra = {},
              std::string_view args_json = {}) {
     os_ << (first_ ? "  " : ",\n  ") << "{\"name\": ";
-    write_json_string(os_, name);
+    os_ << json_string(name);
     os_ << ", \"cat\": ";
-    write_json_string(os_, cat);
+    os_ << json_string(cat);
     os_ << ", \"ph\": \"" << ph << "\", \"ts\": " << ts
         << ", \"pid\": 0, \"tid\": " << tid;
     if (!extra.empty()) os_ << ", " << extra;
@@ -42,7 +35,7 @@ class EventWriter {
 
   void end(std::string_view label) {
     os_ << "\n], \"displayTimeUnit\": \"ms\", \"otherData\": {\"label\": ";
-    write_json_string(os_, label);
+    os_ << json_string(label);
     os_ << "}}\n";
   }
 

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "common/check.h"
+#include "common/json.h"
 #include "obs/span.h"
 
 namespace dqme::obs {
@@ -15,15 +16,6 @@ namespace {
 
 // Dedicated lane for checker violations, far above any plausible SiteId.
 constexpr SiteId kCheckerLane = 1'000'000;
-
-void write_json_string(std::ostream& os, std::string_view s) {
-  os << '"';
-  for (char c : s) {
-    if (c == '"' || c == '\\') os << '\\';
-    os << c;
-  }
-  os << '"';
-}
 
 std::string_view kind_name(FlightRecorder::Kind k) {
   switch (k) {
@@ -144,9 +136,9 @@ void FlightRecorder::dump(std::ostream& os) const {
                         Time ts, SiteId tid, std::string_view extra,
                         std::string_view args_json) {
     os << (first ? "  " : ",\n  ") << "{\"name\": ";
-    write_json_string(os, name);
+    os << json_string(name);
     os << ", \"cat\": ";
-    write_json_string(os, cat);
+    os << json_string(cat);
     os << ", \"ph\": \"" << ph << "\", \"ts\": " << ts
        << ", \"pid\": 0, \"tid\": " << tid;
     if (!extra.empty()) os << ", " << extra;
@@ -183,7 +175,7 @@ void FlightRecorder::dump(std::ostream& os) const {
         std::string args = "{\"report\": ";
         {
           std::ostringstream tmp;
-          write_json_string(tmp, e.note);
+          tmp << json_string(e.note);
           args += tmp.str();
         }
         args += "}";
@@ -200,7 +192,7 @@ void FlightRecorder::dump(std::ostream& os) const {
   }
 
   os << "\n], \"displayTimeUnit\": \"ms\", \"otherData\": {\"label\": ";
-  write_json_string(os, label_);
+  os << json_string(label_);
   os << ", \"recorded\": " << recorded_ << ", \"capacity\": " << capacity_
      << "}}\n";
 }

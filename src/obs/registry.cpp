@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/json.h"
+
 namespace dqme::obs {
 
 // Exact doubling walk rather than std::log2: boundary samples (v == lo*2^b)
@@ -120,25 +122,12 @@ void Registry::merge(const Registry& other) {
   }
 }
 
-namespace {
-
-void write_json_string(std::ostream& os, std::string_view s) {
-  os << '"';
-  for (char c : s) {
-    if (c == '"' || c == '\\') os << '\\';
-    os << c;
-  }
-  os << '"';
-}
-
-}  // namespace
-
 void Registry::write_json(std::ostream& os) const {
   os << "{\"counters\": {";
   bool first = true;
   for (const auto& [name, v] : counters_) {
     os << (first ? "" : ", ");
-    write_json_string(os, name);
+    os << json_string(name);
     os << ": " << v;
     first = false;
   }
@@ -146,7 +135,7 @@ void Registry::write_json(std::ostream& os) const {
   first = true;
   for (const auto& [name, v] : gauges_) {
     os << (first ? "" : ", ");
-    write_json_string(os, name);
+    os << json_string(name);
     os << ": " << v;
     first = false;
   }
@@ -154,7 +143,7 @@ void Registry::write_json(std::ostream& os) const {
   first = true;
   for (const auto& [name, h] : histograms_) {
     os << (first ? "" : ", ");
-    write_json_string(os, name);
+    os << json_string(name);
     os << ": {\"kind\": \"" << (h.is_log() ? "log2" : "linear")
        << "\", \"lo\": " << h.lo() << ", \"width\": " << h.width()
        << ", \"count\": " << h.count() << ", \"sum\": " << h.sum()

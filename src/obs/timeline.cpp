@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "common/json.h"
+
 namespace dqme::obs {
 
 Timeline::Counter& Timeline::counter(std::string_view name) {
@@ -109,19 +111,6 @@ void Timeline::merge(const Timeline& other) {
                  markers_.end());
 }
 
-namespace {
-
-void write_json_string(std::ostream& os, std::string_view s) {
-  os << '"';
-  for (char c : s) {
-    if (c == '"' || c == '\\') os << '\\';
-    os << c;
-  }
-  os << '"';
-}
-
-}  // namespace
-
 void Timeline::write_json(std::ostream& os) const {
   const size_t k = num_windows();
   os << "{\"origin\": " << origin_ << ", \"window\": " << window_
@@ -129,7 +118,7 @@ void Timeline::write_json(std::ostream& os) const {
   bool first = true;
   for (const auto& [name, s] : counters_) {
     os << (first ? "" : ",") << "\n  ";
-    write_json_string(os, name);
+    os << json_string(name);
     os << ": [";
     for (size_t w = 0; w < k; ++w)
       os << (w ? ", " : "") << (w < s.sums_.size() ? s.sums_[w] : 0);
@@ -140,7 +129,7 @@ void Timeline::write_json(std::ostream& os) const {
   first = true;
   for (const auto& [name, s] : gauges_) {
     os << (first ? "" : ",") << "\n  ";
-    write_json_string(os, name);
+    os << json_string(name);
     os << ": [";
     for (size_t w = 0; w < k; ++w)
       os << (w ? ", " : "") << (w < s.vals_.size() ? s.vals_[w] : 0.0);
@@ -151,7 +140,7 @@ void Timeline::write_json(std::ostream& os) const {
   first = true;
   for (const auto& [name, s] : sketches_) {
     os << (first ? "" : ",") << "\n  ";
-    write_json_string(os, name);
+    os << json_string(name);
     os << ": {\"lo\": " << s.lo_ << ", \"buckets\": " << s.buckets_;
     const Histogram empty = Histogram::log2(s.lo_, s.buckets_);
     auto h = [&](size_t w) -> const Histogram& {
@@ -173,7 +162,7 @@ void Timeline::write_json(std::ostream& os) const {
   os << (first ? "" : "\n") << "},\n\"markers\": [";
   for (size_t i = 0; i < markers_.size(); ++i) {
     os << (i ? ", " : "") << "{\"at\": " << markers_[i].at << ", \"label\": ";
-    write_json_string(os, markers_[i].label);
+    os << json_string(markers_[i].label);
     os << "}";
   }
   os << "]}";

@@ -6,10 +6,9 @@
 
 #include "common/check.h"
 #include "common/rng.h"
+#include "harness/deployment.h"
 #include "net/delay_model.h"
 #include "net/network.h"
-#include "obs/invariants.h"
-#include "quorum/factory.h"
 #include "sim/simulator.h"
 
 namespace dqme::rt {
@@ -24,21 +23,14 @@ FreeRunResult run_free(const FreeRunConfig& cfg) {
   ropts.wire_delay_us = cfg.wire_delay_us;
   Runtime rtc(cfg.n, ropts);
 
-  std::unique_ptr<quorum::QuorumSystem> quorums;
-  if (mutex::algo_uses_quorum(cfg.algo))
-    quorums = quorum::make_quorum_system(cfg.quorum, cfg.n);
   mutex::AlgoOptions aopts;
   aopts.fault_tolerant = cfg.fault_tolerant;
   aopts.num_locks = cfg.num_locks;
-
-  std::vector<std::unique_ptr<mutex::MutexSite>> sites;
+  const harness::Deployment dep(cfg.algo, cfg.n, cfg.quorum, aopts, rtc);
   std::vector<std::unique_ptr<ObsTap>> taps;
-  for (SiteId id = 0; id < cfg.n; ++id) {
-    sites.push_back(
-        mutex::make_site(cfg.algo, id, rtc, quorums.get(), aopts));
-    rtc.attach(id, sites.back().get());
-    if (cfg.check) taps.push_back(std::make_unique<ObsTap>(rtc, *sites.back()));
-  }
+  if (cfg.check)
+    for (mutex::MutexSite* site : dep.sites())
+      taps.push_back(std::make_unique<ObsTap>(rtc, *site));
 
   SafetyProbe probe(cfg.num_locks);
 
@@ -69,7 +61,7 @@ FreeRunResult run_free(const FreeRunConfig& cfg) {
   // inside request_cs (an uncontended token holder). Only record it here;
   // release happens at the top of the next poll, never re-entrantly.
   for (SiteId s = 0; s < cfg.n; ++s) {
-    sites[static_cast<size_t>(s)]->on_enter = [&, s](SiteId, LockId lock) {
+    dep.site(s).on_enter = [&, s](SiteId, LockId lock) {
       if (cfg.check) probe.enter(lock, s);
       drv[static_cast<size_t>(s)].entered.push_back(lock);
     };
@@ -89,7 +81,7 @@ FreeRunResult run_free(const FreeRunConfig& cfg) {
   bool limits_armed = false;  // site 0's thread only
   const auto poll = [&](SiteId s) -> bool {
     SiteDrv& d = drv[static_cast<size_t>(s)];
-    mutex::MutexSite& site = *sites[static_cast<size_t>(s)];
+    mutex::MutexSite& site = dep.site(s);
     if (s == 0 && !limits_armed) {
       // The wall-clock limits are site-0 timers rather than checks in
       // poll: a pump with nothing to do parks, and only a timer or a
@@ -136,8 +128,7 @@ FreeRunResult run_free(const FreeRunConfig& cfg) {
   rtc.run(poll);
   res.wall_seconds = elapsed();
 
-  res.cs_entries = 0;
-  for (const auto& s : sites) res.cs_entries += s->cs_entries();
+  res.cs_entries = dep.totals().cs_entries;
   res.stats = rtc.stats();
   res.handoffs_per_sec =
       res.wall_seconds > 0
@@ -162,10 +153,7 @@ FreeRunResult run_free(const FreeRunConfig& cfg) {
     sim::Simulator dummy_sim;
     net::Network dummy_net(dummy_sim, cfg.n,
                            std::make_unique<net::ConstantDelay>(1), 1);
-    obs::InvariantOptions iopts;
-    iopts.liveness_bound = 0;
-    iopts.quorum_arbitration = mutex::algo_uses_quorum(cfg.algo);
-    obs::InvariantChecker checker(dummy_net, iopts);
+    obs::InvariantChecker checker(dummy_net, dep.invariant_options(0));
     rtc.replay_into(checker);
     res.violations = checker.violations();
     res.reports = checker.reports();

@@ -8,8 +8,8 @@
 #include "common/check.h"
 #include "common/rng.h"
 #include "net/delay_model.h"
+#include "harness/deployment.h"
 #include "net/network.h"
-#include "quorum/factory.h"
 #include "rt/runtime.h"
 #include "sim/simulator.h"
 
@@ -17,23 +17,25 @@ namespace dqme::rt {
 
 namespace {
 
-// Shared construction so both backends wire byte-identical protocol stacks.
+mutex::AlgoOptions algo_options(const EquivConfig& cfg) {
+  mutex::AlgoOptions opts;
+  opts.fault_tolerant = cfg.fault_tolerant;
+  opts.num_locks = cfg.num_locks;
+  return opts;
+}
+
+// Shared construction so both backends wire byte-identical protocol stacks:
+// one Deployment, each site behind a DecisionLog that re-attaches in its
+// place.
 struct Stack {
-  std::unique_ptr<quorum::QuorumSystem> quorums;
-  std::vector<std::unique_ptr<mutex::MutexSite>> sites;
+  harness::Deployment dep;
   std::vector<std::unique_ptr<DecisionLog>> logs;
 
-  void build(const EquivConfig& cfg, net::Executor& exec) {
-    if (mutex::algo_uses_quorum(cfg.algo))
-      quorums = quorum::make_quorum_system(cfg.quorum, cfg.n);
-    mutex::AlgoOptions opts;
-    opts.fault_tolerant = cfg.fault_tolerant;
-    opts.num_locks = cfg.num_locks;
-    for (SiteId id = 0; id < cfg.n; ++id) {
-      sites.push_back(
-          mutex::make_site(cfg.algo, id, exec, quorums.get(), opts));
+  Stack(const EquivConfig& cfg, net::Executor& exec)
+      : dep(cfg.algo, cfg.n, cfg.quorum, algo_options(cfg), exec) {
+    for (mutex::MutexSite* site : dep.sites()) {
       logs.push_back(std::make_unique<DecisionLog>());
-      logs.back()->bind(exec, *sites.back());
+      logs.back()->bind(exec, *site);
     }
   }
 
@@ -56,8 +58,7 @@ OracleResult run_sim_oracle(const EquivConfig& cfg) {
                    std::make_unique<net::UniformDelay>(
                        cfg.mean_delay / 2, cfg.mean_delay + cfg.mean_delay / 2),
                    cfg.seed * 7919 + 13);
-  Stack stack;
-  stack.build(cfg, net);
+  Stack stack(cfg, net);
 
   // Every delivery the simulator performs becomes a kDeliver step — the
   // hook fires before the receiver's handler, i.e. exactly at the point the
@@ -94,7 +95,7 @@ OracleResult run_sim_oracle(const EquivConfig& cfg) {
             ? static_cast<LockId>(sc.rng.uniform_int(0, cfg.num_locks - 1))
             : kLock0;
     res.steps.push_back({Step::kIssue, s, kNoSite, lock});
-    stack.sites[static_cast<size_t>(s)]->request_cs(lock);
+    stack.dep.site(s).request_cs(lock);
   };
 
   next_or_done = [&](SiteId s, LockId /*lock*/) {
@@ -107,7 +108,7 @@ OracleResult run_sim_oracle(const EquivConfig& cfg) {
   };
 
   for (SiteId s = 0; s < cfg.n; ++s) {
-    mutex::MutexSite* raw = stack.sites[static_cast<size_t>(s)].get();
+    mutex::MutexSite* raw = &stack.dep.site(s);
     raw->on_enter = [&, s](SiteId, LockId lock) {
       Script& sc = script[static_cast<size_t>(s)];
       const Time hold =
@@ -115,7 +116,7 @@ OracleResult run_sim_oracle(const EquivConfig& cfg) {
       sim.schedule_after(hold, [&, s, lock] {
         if (!net.alive(s)) return;  // crashed while inside the CS
         res.steps.push_back({Step::kExit, s, kNoSite, lock});
-        stack.sites[static_cast<size_t>(s)]->release_cs(lock);
+        stack.dep.site(s).release_cs(lock);
         next_or_done(s, lock);
       });
     };
@@ -157,7 +158,7 @@ OracleResult run_sim_oracle(const EquivConfig& cfg) {
   sim.run();
 
   res.logs = stack.collect();
-  for (const auto& site : stack.sites) res.cs_entries += site->cs_entries();
+  res.cs_entries = stack.dep.totals().cs_entries;
   res.ok = net.stats().in_flight() == 0;
   for (SiteId s = 0; s < cfg.n; ++s) {
     if (!net.alive(s)) continue;
@@ -175,8 +176,7 @@ SiteLogs run_rt_replay(const EquivConfig& cfg,
                        const std::vector<Step>& steps) {
   RuntimeOptions ropts;
   Runtime rtc(cfg.n, ropts);
-  Stack stack;
-  stack.build(cfg, rtc);
+  Stack stack(cfg, rtc);
 
   // One global turn counter sequences the trace: step i runs on the owning
   // site's thread; the release-store publishing turn i+1 also publishes
@@ -199,10 +199,10 @@ SiteLogs run_rt_replay(const EquivConfig& cfg,
         }
         switch (st.kind) {
           case Step::kIssue:
-            stack.sites[static_cast<size_t>(me)]->request_cs(st.lock);
+            stack.dep.site(me).request_cs(st.lock);
             break;
           case Step::kExit:
-            stack.sites[static_cast<size_t>(me)]->release_cs(st.lock);
+            stack.dep.site(me).release_cs(st.lock);
             break;
           case Step::kDeliver:
             while (!rtc.try_deliver_one(st.aux, me)) {

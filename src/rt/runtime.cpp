@@ -13,7 +13,7 @@
 namespace dqme::rt {
 
 Runtime::Runtime(int n, RuntimeOptions opts)
-    : n_(n),
+    : n_(static_cast<int>(site_count(n))),
       opts_(opts),
       sites_(static_cast<size_t>(n), nullptr),
       pumps_(static_cast<size_t>(n)),
@@ -21,7 +21,6 @@ Runtime::Runtime(int n, RuntimeOptions opts)
       timers_(static_cast<size_t>(n)),
       timer_seq_(static_cast<size_t>(n), 0),
       obs_shards_(static_cast<size_t>(n)) {
-  DQME_CHECK_MSG(n >= 1, "Runtime needs at least one site");
   channels_.resize(static_cast<size_t>(n) * static_cast<size_t>(n));
   for (auto& c : channels_)
     c.ring = std::make_unique<SpscRing<WireSlot>>(opts_.ring_capacity);

@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "common/check.h"
+#include "common/json.h"
 
 namespace dqme::verify {
 

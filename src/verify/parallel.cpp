@@ -12,6 +12,7 @@
 #include <thread>
 
 #include "common/check.h"
+#include "common/json.h"
 
 namespace dqme::verify {
 

@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "common/check.h"
+#include "common/json.h"
 
 namespace dqme::verify {
 
@@ -139,53 +140,12 @@ bool decode_actions(const std::string& text, std::vector<Action>& out) {
   return true;
 }
 
-namespace {
-
-void write_json_string(std::ostream& os, std::string_view s) {
-  os << '"';
-  for (char c : s) {
-    if (c == '"' || c == '\\') os << '\\';
-    os << c;
-  }
-  os << '"';
-}
-
-}  // namespace
-
-bool json_field_str(const std::string& text, const std::string& key,
-                    std::string& out) {
-  const std::string pat = "\"" + key + "\":";
-  size_t p = text.find(pat);
-  if (p == std::string::npos) return false;
-  p += pat.size();
-  while (p < text.size() && text[p] == ' ') ++p;
-  if (p >= text.size() || text[p] != '"') return false;
-  ++p;
-  out.clear();
-  while (p < text.size() && text[p] != '"') {
-    if (text[p] == '\\' && p + 1 < text.size()) ++p;
-    out += text[p++];
-  }
-  return p < text.size();
-}
-
-bool json_field_num(const std::string& text, const std::string& key,
-                    long& out) {
-  const std::string pat = "\"" + key + "\":";
-  size_t p = text.find(pat);
-  if (p == std::string::npos) return false;
-  p += pat.size();
-  while (p < text.size() && text[p] == ' ') ++p;
-  std::istringstream num(text.substr(p, 24));
-  return static_cast<bool>(num >> out);
-}
-
 void write_config_fields(std::ostream& os, const WorldConfig& cfg) {
   os << "\"algo\":";
-  write_json_string(os, mutex::to_string(cfg.algo));
+  os << json_string(mutex::to_string(cfg.algo));
   os << ",\"n\":" << cfg.n;
   os << ",\"quorum\":";
-  write_json_string(os, cfg.quorum);
+  os << json_string(cfg.quorum);
   os << ",\"cs_per_site\":" << cfg.cs_per_site;
   os << ",\"fault_tolerant\":" << (cfg.fault_tolerant ? "true" : "false");
   std::string crash_sites;
@@ -194,10 +154,10 @@ void write_config_fields(std::ostream& os, const WorldConfig& cfg) {
     crash_sites += std::to_string(s);
   }
   os << ",\"crash_sites\":";
-  write_json_string(os, crash_sites);
+  os << json_string(crash_sites);
   os << ",\"max_crashes\":" << cfg.max_crashes;
   os << ",\"mutation\":";
-  write_json_string(os, to_string(cfg.mutation));
+  os << json_string(to_string(cfg.mutation));
   // Written only when non-default, so pre-lock-table schedule files (and
   // their byte-for-byte goldens) round-trip unchanged.
   if (cfg.num_locks != 1) os << ",\"num_locks\":" << cfg.num_locks;
@@ -246,11 +206,11 @@ void write_schedule(std::ostream& os, const WorldConfig& cfg,
   os << "{\"dqme_schedule\":1,";
   write_config_fields(os, cfg);
   os << ",\n\"actions\":";
-  write_json_string(os, encode_actions(actions));
+  os << json_string(encode_actions(actions));
   os << ",\n\"reports\":[";
   for (size_t i = 0; i < reports.size(); ++i) {
     if (i > 0) os << ",\n  ";
-    write_json_string(os, reports[i]);
+    os << json_string(reports[i]);
   }
   os << "]}\n";
 }

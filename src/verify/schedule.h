@@ -123,13 +123,6 @@ struct WorldConfig {
 std::string encode_actions(const std::vector<Action>& actions);
 bool decode_actions(const std::string& text, std::vector<Action>& out);
 
-// Field scanners over this module's own writer output (same line-based
-// discipline as tools/dqme_check): keys unique, values escape-free.
-bool json_field_str(const std::string& text, const std::string& key,
-                    std::string& out);
-bool json_field_num(const std::string& text, const std::string& key,
-                    long& out);
-
 // The WorldConfig <-> JSON fragment used by both the schedule files and
 // the explorer's frontier files: `"algo":"cao-singhal","n":3,...` (compact,
 // no surrounding braces).

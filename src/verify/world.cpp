@@ -4,7 +4,6 @@
 
 #include "common/check.h"
 #include "net/delay_model.h"
-#include "quorum/factory.h"
 
 namespace dqme::verify {
 
@@ -27,13 +26,14 @@ bool World::filter(net::Message& m) {
       // in every order where the first holder has not yet released, the
       // checker's permission ledger sees one arbiter with two live grants.
       if (!grant_rewritten_ && m.type == net::MsgType::kReply &&
-          m.arbiter != kNoSite && m.src == m.arbiter && quorums_ != nullptr) {
+          m.arbiter != kNoSite && m.src == m.arbiter &&
+          dep_.quorums() != nullptr) {
         for (SiteId t = 0; t < cfg_.n; ++t) {
           if (t == m.dst || !net_.alive(t)) continue;
-          mutex::MutexSite& victim = *sites_[static_cast<size_t>(t)];
+          mutex::MutexSite& victim = dep_.site(t);
           if (!victim.requesting() || victim.active_span() == kNoSpan)
             continue;
-          const quorum::Quorum q = quorums_->quorum_for(t);
+          const quorum::Quorum q = dep_.quorums()->quorum_for(t);
           if (std::find(q.begin(), q.end(), m.arbiter) == q.end()) continue;
           grant_rewritten_ = true;
           const ReqId req{span_seq(victim.active_span()),
@@ -75,34 +75,43 @@ bool World::filter(net::Message& m) {
   return true;
 }
 
-World::World(const WorldConfig& cfg, bool capture)
-    : cfg_(cfg),
-      net_(sim_, cfg.n, std::make_unique<net::ConstantDelay>(1),
-           /*seed=*/1) {
-  DQME_CHECK(cfg.n >= 2);
-  DQME_CHECK(cfg.cs_per_site >= 1);
-  net_.set_controlled(true);
+namespace {
 
+mutex::AlgoOptions algo_options(const WorldConfig& cfg) {
   mutex::AlgoOptions opts;
   opts.fault_tolerant = cfg.fault_tolerant;
   opts.num_locks = cfg.num_locks;
-  if (mutex::algo_uses_quorum(cfg.algo))
-    quorums_ = quorum::make_quorum_system(cfg.quorum, cfg.n);
-  for (SiteId i = 0; i < cfg.n; ++i) {
-    sites_.push_back(mutex::make_site(cfg.algo, i, net_, quorums_.get(), opts));
-    taps_.push_back(std::make_unique<SiteTap>(*this, *sites_.back()));
-    net_.attach(i, taps_.back().get());
+  return opts;
+}
+
+}  // namespace
+
+World::World(const WorldConfig& cfg, bool capture)
+    : cfg_(cfg),
+      net_(sim_, cfg.n, std::make_unique<net::ConstantDelay>(1),
+           /*seed=*/1),
+      dep_(cfg.algo, cfg.n, cfg.quorum, algo_options(cfg), net_) {
+  DQME_CHECK(cfg.n >= 2);
+  DQME_CHECK(cfg.cs_per_site >= 1);
+  // Schedule and frontier files carry crash_sites too, so every entry
+  // point meets this check.
+  for (SiteId v : cfg.crash_sites)
+    DQME_CHECK_MSG(0 <= v && v < cfg.n,
+                   "crash site " << v << " is outside 0.." << cfg.n - 1);
+  net_.set_controlled(true);
+  for (mutex::MutexSite* site : dep_.sites()) {
+    taps_.push_back(std::make_unique<SiteTap>(*this, *site));
+    net_.attach(site->id(), taps_.back().get());
   }
 
-  obs::InvariantOptions iopts;
-  iopts.liveness_bound = 0;  // quiescence-time liveness is seal()'s job
-  iopts.quorum_arbitration = mutex::algo_uses_quorum(cfg.algo);
-  checker_ = std::make_unique<obs::InvariantChecker>(net_, iopts);
-  checker_->attach_all(sites_);
+  // Quiescence-time liveness is seal()'s job: no watchdog.
+  checker_ = std::make_unique<obs::InvariantChecker>(
+      net_, dep_.invariant_options(0));
+  checker_->attach_all(dep_.sites());
   if (capture) {
     trace_rec_ = std::make_unique<net::TraceRecorder>(net_);
     span_rec_ = std::make_unique<obs::SpanRecorder>(net_);
-    span_rec_->attach_all(sites_);
+    span_rec_->attach_all(dep_.sites());
     flightrec_ = std::make_unique<obs::FlightRecorder>(4096);
     flightrec_->set_label("dqme_explore replay " +
                           std::string(mutex::to_string(cfg.algo)) + " n=" +
@@ -113,7 +122,7 @@ World::World(const WorldConfig& cfg, bool capture)
   remaining_.assign(static_cast<size_t>(cfg.n), cfg.cs_per_site);
   aborted_.assign(static_cast<size_t>(cfg.n), 0);
   for (SiteId i = 0; i < cfg.n; ++i) {
-    mutex::MutexSite& site = *sites_[static_cast<size_t>(i)];
+    mutex::MutexSite& site = dep_.site(i);
     site.on_enter = [this](SiteId s, LockId) {
       --remaining_[static_cast<size_t>(s)];
     };
@@ -128,8 +137,7 @@ World::World(const WorldConfig& cfg, bool capture)
   // paper's safety claims must survive is in the network, and a late
   // issue is indistinguishable from its request messages being delayed.)
   // The explorer's demand is lock 0 only (see WorldConfig::num_locks).
-  for (SiteId i = 0; i < cfg.n; ++i) sites_[static_cast<size_t>(i)]
-      ->request_cs(kLock0);
+  for (mutex::MutexSite* site : dep_.sites()) site->request_cs(kLock0);
   sim_.run_until(step_);  // drain local self-deliveries of the issue burst
 }
 
@@ -139,8 +147,8 @@ void World::copy_state_from(const World& other) {
                  "capture-mode worlds cannot be copied");
   sim_.copy_state_from(other.sim_);
   net_.copy_state_from(other.net_);
-  for (size_t i = 0; i < sites_.size(); ++i)
-    sites_[i]->copy_state_from(*other.sites_[i]);
+  for (SiteId i = 0; i < cfg_.n; ++i)
+    dep_.site(i).copy_state_from(other.dep_.site(i));
   checker_->copy_state_from(*other.checker_);
   remaining_ = other.remaining_;
   aborted_ = other.aborted_;
@@ -159,8 +167,8 @@ void World::copy_state_from(const World& other) {
 
 void World::issue_if_hungry(SiteId site) {
   const auto s = static_cast<size_t>(site);
-  if (remaining_[s] > 0 && net_.alive(site) && sites_[s]->idle())
-    sites_[s]->request_cs(kLock0);
+  if (remaining_[s] > 0 && net_.alive(site) && dep_.site(site).idle())
+    dep_.site(site).request_cs(kLock0);
 }
 
 bool World::apply(const Action& action) {
@@ -187,9 +195,8 @@ bool World::apply(const Action& action) {
       break;
     }
     case ActionKind::kExit: {
-      const auto s = static_cast<size_t>(action.a);
-      if (action.a >= 0 && action.a < cfg_.n && sites_[s]->in_cs()) {
-        sites_[s]->release_cs(kLock0);
+      if (action.a >= 0 && action.a < cfg_.n && dep_.site(action.a).in_cs()) {
+        dep_.site(action.a).release_cs(kLock0);
         issue_if_hungry(action.a);
         applied = true;
       }
@@ -235,21 +242,20 @@ void World::enabled(std::vector<Action>& out) const {
   for (const auto& c : chans_scratch_)
     out.push_back(Action{ActionKind::kDeliver, c.src, c.dst});
   for (SiteId i = 0; i < cfg_.n; ++i)
-    if (net_.alive(i) && sites_[static_cast<size_t>(i)]->in_cs())
+    if (net_.alive(i) && dep_.site(i).in_cs())
       out.push_back(Action{ActionKind::kExit, i, kNoSite});
   for (const auto& [victim, receiver] : notices_)
     out.push_back(Action{ActionKind::kNotice, victim, receiver});
   if (crashes_done_ < cfg_.max_crashes && !quiescent())
     for (SiteId v : cfg_.crash_sites)
-      if (v >= 0 && v < cfg_.n && net_.alive(v))
+      if (net_.alive(v))
         out.push_back(Action{ActionKind::kCrash, v, kNoSite});
 }
 
 bool World::quiescent() const {
   if (net_.parked_flights() > 0 || !notices_.empty()) return false;
   for (SiteId i = 0; i < cfg_.n; ++i)
-    if (net_.alive(i) && sites_[static_cast<size_t>(i)]->in_cs())
-      return false;
+    if (net_.alive(i) && dep_.site(i).in_cs()) return false;
   return true;
 }
 
@@ -260,11 +266,11 @@ void World::seal() {
   for (SiteId i = 0; i < cfg_.n; ++i) {
     const auto s = static_cast<size_t>(i);
     if (!net_.alive(i) || aborted_[s]) continue;  // crash/§6 write-offs
-    if (sites_[s]->requesting()) {
+    if (dep_.site(i).requesting()) {
       seal_reports_.push_back("stalled request at quiescence: site " +
                               std::to_string(i) +
                               " still waiting with nothing in flight");
-    } else if (remaining_[s] > 0 && !sites_[s]->in_cs()) {
+    } else if (remaining_[s] > 0 && !dep_.site(i).in_cs()) {
       seal_reports_.push_back("starved site at quiescence: site " +
                               std::to_string(i) + " idle with " +
                               std::to_string(remaining_[s]) +

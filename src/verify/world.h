@@ -1,7 +1,7 @@
 // One explorable protocol universe (src/verify).
 //
 // A World wires the existing pieces — deterministic simulator, Network in
-// controlled-delivery mode, protocol sites from mutex::make_site, the PR-3
+// controlled-delivery mode, a harness::Deployment of protocol sites, the
 // obs::InvariantChecker — into a state machine the explorer drives one
 // Action at a time. It replaces harness::Workload with its own request
 // driver so that *leaving* the CS is an explorable action too: crashing a
@@ -29,12 +29,11 @@
 #include <utility>
 #include <vector>
 
-#include "mutex/factory.h"
+#include "harness/deployment.h"
 #include "net/trace.h"
 #include "obs/flight_recorder.h"
 #include "obs/invariants.h"
 #include "obs/span.h"
-#include "quorum/quorum_system.h"
 #include "verify/schedule.h"
 
 namespace dqme::verify {
@@ -87,7 +86,7 @@ class World {
   const WorldConfig& config() const { return cfg_; }
   const net::Network& network() const { return net_; }
   const mutex::MutexSite& site(SiteId id) const {
-    return *sites_[static_cast<size_t>(id)];
+    return dep_.site(id);
   }
   const obs::InvariantChecker& checker() const { return *checker_; }
 
@@ -123,8 +122,7 @@ class World {
   WorldConfig cfg_;
   sim::Simulator sim_;
   net::Network net_;
-  std::unique_ptr<quorum::QuorumSystem> quorums_;
-  std::vector<std::unique_ptr<mutex::MutexSite>> sites_;
+  harness::Deployment dep_;
   std::vector<std::unique_ptr<SiteTap>> taps_;
   std::unique_ptr<net::TraceRecorder> trace_rec_;
   std::unique_ptr<obs::SpanRecorder> span_rec_;

@@ -1,10 +1,15 @@
-// Unit tests for common/: request identities, priority order, RNG.
+// Unit tests for common/: request identities, priority order, RNG, the
+// command-line flag table.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <set>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "common/check.h"
+#include "common/flags.h"
 #include "common/rng.h"
 #include "common/timestamp.h"
 
@@ -145,6 +150,126 @@ TEST(Rng, ShufflePreservesElements) {
   rng.shuffle(v);
   std::sort(v.begin(), v.end());
   EXPECT_EQ(v, sorted);
+}
+
+// ------------------------------------------------------------- flags
+
+std::vector<std::string> parse(const flags::Table& t,
+                               std::vector<const char*> args,
+                               bool pass_through = false) {
+  args.insert(args.begin(), "prog");
+  return t.parse(static_cast<int>(args.size()), args.data(), pass_through);
+}
+
+struct FlagFixture {
+  int n = 25;
+  double rate = 0.5;
+  bool ft = false;
+  bool json = false;
+  std::string json_path = "unset";
+  std::string out;
+  flags::Table t{"/path/to/prog"};
+  FlagFixture() {
+    t.number("--n", "N", "sites", n, 1)
+        .number("--rate", "R", "load", rate, 0.0)
+        .flag("--ft", "fault tolerance", ft)
+        .optional("--json", "PATH", "report", json, json_path)
+        .text("--out", "FILE", "output", out);
+  }
+};
+
+TEST(Flags, ValueFlagsTakeBothForms) {
+  FlagFixture f;
+  parse(f.t, {"--n", "9", "--rate=0.25", "--out=a.json"});
+  EXPECT_EQ(f.n, 9);
+  EXPECT_EQ(f.rate, 0.25);
+  EXPECT_EQ(f.out, "a.json");
+  parse(f.t, {"--n=7", "--out", "b.json"});
+  EXPECT_EQ(f.n, 7);
+  EXPECT_EQ(f.out, "b.json");
+}
+
+TEST(Flags, OptionalValueTakesTheEqualsFormOnly) {
+  FlagFixture f;
+  parse(f.t, {"--json"});
+  EXPECT_TRUE(f.json);
+  EXPECT_EQ(f.json_path, "");
+  parse(f.t, {"--json=r.json"});
+  EXPECT_EQ(f.json_path, "r.json");
+  // The next word is not the optional flag's value.
+  EXPECT_THROW(parse(f.t, {"--json", "r.json"}), flags::UsageError);
+}
+
+TEST(Flags, BooleansRejectAValue) {
+  FlagFixture f;
+  parse(f.t, {"--ft"});
+  EXPECT_TRUE(f.ft);
+  EXPECT_THROW(parse(f.t, {"--ft=1"}), flags::UsageError);
+}
+
+TEST(Flags, NumbersParseStrictly) {
+  FlagFixture f;
+  for (const char* bad : {"abc", "12x", "", " 3", "0x10", "-3", "0",
+                          "99999999999999999999"})
+    EXPECT_THROW(parse(f.t, {"--n", bad}), flags::UsageError) << bad;
+  EXPECT_THROW(parse(f.t, {"--rate", "nan"}), flags::UsageError);
+  EXPECT_THROW(parse(f.t, {"--rate", "inf"}), flags::UsageError);
+  EXPECT_THROW(parse(f.t, {"--rate", "-0.5"}), flags::UsageError);
+  EXPECT_EQ(flags::parse_number<uint64_t>("18446744073709551615", "x"),
+            18446744073709551615ull);
+  EXPECT_THROW(flags::parse_number<uint64_t>("-1", "x"), flags::UsageError);
+  EXPECT_EQ(flags::parse_number<int>("-3", "x"), -3);
+}
+
+TEST(Flags, ChoiceAcceptsOnlyItsNames) {
+  size_t picked = 9;
+  flags::Table t("prog");
+  t.choice("--load", "MODE", "closed | open", {"closed", "open"},
+           [&picked](size_t i) { picked = i; });
+  parse(t, {"--load=open"});
+  EXPECT_EQ(picked, 1u);
+  parse(t, {"--load", "closed"});
+  EXPECT_EQ(picked, 0u);
+  EXPECT_THROW(parse(t, {"--load", "Open"}), flags::UsageError);
+}
+
+TEST(Flags, MissingValueUnknownFlagAndEmptyTextAreErrors) {
+  FlagFixture f;
+  EXPECT_THROW(parse(f.t, {"--n"}), flags::UsageError);
+  EXPECT_THROW(parse(f.t, {"--bogus"}), flags::UsageError);
+  EXPECT_THROW(parse(f.t, {"stray"}), flags::UsageError);
+  EXPECT_THROW(parse(f.t, {"--out="}), flags::UsageError);
+}
+
+TEST(Flags, LeftoversPassThroughInOrderWhenAsked) {
+  FlagFixture f;
+  const auto rest =
+      parse(f.t, {"--benchmark_filter=x", "--n", "3", "y"}, true);
+  EXPECT_EQ(rest, (std::vector<std::string>{"--benchmark_filter=x", "y"}));
+  EXPECT_EQ(f.n, 3);
+}
+
+TEST(Flags, HelpIsGeneratedFromTheTable) {
+  FlagFixture f;
+  EXPECT_THROW(parse(f.t, {"--n", "3", "--help"}),
+               flags::Table::HelpRequested);
+  EXPECT_THROW(parse(f.t, {"-h"}), flags::Table::HelpRequested);
+  std::ostringstream os;
+  f.t.usage(os);
+  const std::string u = os.str();
+  EXPECT_EQ(u.rfind("usage: prog [options]\n", 0), 0u) << u;
+  for (const char* entry : {"--n N", "--rate R", "--ft", "--json[=PATH]",
+                            "--out FILE", "--help"})
+    EXPECT_NE(u.find(entry), std::string::npos) << entry;
+  EXPECT_TRUE(f.t.has("--json=x"));
+  EXPECT_FALSE(f.t.has("--jso"));
+}
+
+TEST(Flags, RegisteringANameTwiceIsAProgramBug) {
+  bool b = false;
+  flags::Table t("prog");
+  t.flag("--x", "x", b);
+  EXPECT_THROW(t.flag("--x", "again", b), std::logic_error);
 }
 
 }  // namespace

@@ -291,6 +291,19 @@ struct KvReader final : net::NetSite {
   net::KvFields last;
 };
 
+// A crash victim outside 0..n-1 used to be filtered out of enabled(),
+// silently exploring the crash-free space; schedule and frontier files
+// carry crash_sites too, so the World itself rejects it.
+TEST(Explorer, OutOfRangeCrashSiteIsRejected) {
+  WorldConfig cfg = small_config();
+  cfg.fault_tolerant = true;
+  cfg.max_crashes = 1;
+  for (SiteId victim : {3, 7, -1}) {
+    cfg.crash_sites = {victim};
+    EXPECT_THROW(World{cfg}, CheckError) << victim;
+  }
+}
+
 TEST(TraceRecorderControlled, SeversPayloadsAndPoolStaysBounded) {
   sim::Simulator sim;
   net::Network net(sim, 3, std::make_unique<net::ConstantDelay>(1), 1);

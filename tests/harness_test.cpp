@@ -4,8 +4,9 @@
 
 #include <sstream>
 
-#include "net/network.h"
+#include "harness/deployment.h"
 #include "harness/experiment.h"
+#include "net/network.h"
 #include "harness/metrics.h"
 #include "harness/sweep.h"
 #include "quorum/factory.h"
@@ -362,6 +363,37 @@ TEST(Experiment, ReplicateAggregatesAcrossSeeds) {
   EXPECT_GT(rep.mean, 0.0);
   EXPECT_GE(rep.sd, 0.0);     // jittered runs differ...
   EXPECT_LT(rep.sd, rep.mean);  // ...but not wildly
+}
+
+TEST(Deployment, BuildsAttachesAndDerivesCheckerOptions) {
+  sim::Simulator sim;
+  net::Network net(sim, 9, std::make_unique<net::ConstantDelay>(10), 1);
+  const Deployment quorum(mutex::Algo::kMaekawa, 9, "grid", {}, net);
+  ASSERT_EQ(quorum.sites().size(), 9u);
+  ASSERT_NE(quorum.quorums(), nullptr);
+  EXPECT_EQ(quorum.quorums()->mean_quorum_size(), 5);
+  EXPECT_TRUE(quorum.invariant_options(123).quorum_arbitration);
+  EXPECT_EQ(quorum.invariant_options(123).liveness_bound, 123);
+  for (SiteId i = 0; i < 9; ++i) EXPECT_EQ(quorum.site(i).id(), i);
+
+  // A second deployment re-attaches every site: attach overwrites.
+  const Deployment plain(mutex::Algo::kLamport, 9, "grid", {}, net);
+  EXPECT_EQ(plain.quorums(), nullptr);
+  EXPECT_FALSE(plain.invariant_options(0).quorum_arbitration);
+  plain.site(3).request_cs(kLock0);
+  sim.run();
+  EXPECT_EQ(plain.totals().cs_entries, 1u);
+  EXPECT_EQ(quorum.totals().cs_entries, 0u);
+}
+
+TEST(Deployment, RunExperimentReportsCaoSinghalTotals) {
+  ExperimentConfig cfg;
+  cfg.n = 9;
+  cfg.warmup = 10'000;
+  cfg.measure = 100'000;
+  const ExperimentResult r = run_experiment(cfg);
+  EXPECT_GT(r.protocol_stats.replies_forwarded, 0u);
+  EXPECT_GT(r.case_stats.grant_free, 0u);
 }
 
 }  // namespace

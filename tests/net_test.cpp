@@ -335,5 +335,13 @@ TEST(MessageFormatting, HumanReadable) {
   EXPECT_EQ(os.str(), "transfer[7->4 req=(1,4) arb=7 tgt=(2,3)]");
 }
 
+TEST(Network, RejectsASiteCountBelowOneBeforeAllocating) {
+  sim::Simulator sim;
+  for (int n : {0, -3})
+    EXPECT_THROW(Network(sim, n, std::make_unique<ConstantDelay>(1), 1),
+                 CheckError)
+        << n;
+}
+
 }  // namespace
 }  // namespace dqme::net

@@ -13,8 +13,10 @@
 // invariant-checker feed (the mode rt_core measures).
 #include <gtest/gtest.h>
 
+#include "common/check.h"
 #include "rt/driver.h"
 #include "rt/oracle.h"
+#include "rt/runtime.h"
 
 namespace dqme::rt {
 namespace {
@@ -136,6 +138,11 @@ TEST(RtFreeRun, TokenAlgoSmoke) {
   ASSERT_TRUE(res.ok) << res.error;
   EXPECT_EQ(res.violations, 0u);
   EXPECT_EQ(res.probe_violations, 0u);
+}
+
+TEST(Runtime, RejectsASiteCountBelowOneBeforeAllocating) {
+  for (int n : {0, -3})
+    EXPECT_THROW(Runtime(n, RuntimeOptions{}), CheckError) << n;
 }
 
 }  // namespace

@@ -32,9 +32,11 @@
 #include <string>
 #include <vector>
 
-#include "net/network.h"
+#include "common/flags.h"
+#include "common/json.h"
 #include "harness/experiment.h"
 #include "harness/table.h"
+#include "net/network.h"
 #include "obs/flight_recorder.h"
 #include "obs/invariants.h"
 #include "obs/model.h"
@@ -44,39 +46,7 @@ namespace {
 
 using namespace dqme;
 
-void usage(const char* argv0) {
-  std::cout
-      << "usage: " << argv0 << " [mode] [options]\n"
-      << "modes:\n"
-      << "  (default)        run one checked experiment\n"
-      << "  --selftest       verify the checker detects seeded violations\n"
-      << "  --trace FILE     structural check of a Chrome trace JSON\n"
-      << "  --preset smoke   CI matrix: invariants + model conformance\n"
-      << "options (single run / preset):\n"
-      << "  --algo NAME --n N --quorum KIND --t TICKS\n"
-      << "  --load closed|open --rate R --seed S\n"
-      << "  --warmup TICKS --measure TICKS --ft --crash T:SITE\n"
-      << "  --liveness-bound TICKS   override the auto watchdog bound\n"
-      << "  --tolerance X    max model divergence (default 0.05; single\n"
-      << "                   run gates on it only when given explicitly)\n"
-      << "  --report-out FILE  write a JSON verdict\n"
-      << "  --flightrec-out PATH\n"
-      << "                   black-box flight recorder: single run / smoke\n"
-      << "                   rows dump PATH(-row) on the first violation;\n"
-      << "                   selftest uses PATH as the per-case dump prefix\n"
-      << "                   (default flightrec_selftest_)\n";
-}
-
 // ------------------------------------------------------------ JSON report
-
-void json_escape(std::ostream& os, const std::string& s) {
-  os << '"';
-  for (char c : s) {
-    if (c == '"' || c == '\\') os << '\\';
-    os << c;
-  }
-  os << '"';
-}
 
 struct Report {
   std::string mode;
@@ -87,21 +57,16 @@ struct Report {
   std::vector<std::pair<std::string, double>> stats;  // divergences etc.
 
   void write(std::ostream& os) const {
-    os << "{\"mode\": ";
-    json_escape(os, mode);
-    os << ", \"ok\": " << (ok ? "true" : "false")
+    os << "{\"mode\": " << json_string(mode)
+       << ", \"ok\": " << (ok ? "true" : "false")
        << ", \"checks\": " << checks << ", \"violations\": " << violations
        << ", \"stats\": {";
-    for (size_t i = 0; i < stats.size(); ++i) {
-      if (i) os << ", ";
-      json_escape(os, stats[i].first);
-      os << ": " << stats[i].second;
-    }
+    for (size_t i = 0; i < stats.size(); ++i)
+      os << (i ? ", " : "") << json_string(stats[i].first) << ": "
+         << stats[i].second;
     os << "}, \"notes\": [";
-    for (size_t i = 0; i < notes.size(); ++i) {
-      if (i) os << ", ";
-      json_escape(os, notes[i]);
-    }
+    for (size_t i = 0; i < notes.size(); ++i)
+      os << (i ? ", " : "") << json_string(notes[i]);
     os << "]}\n";
   }
 };
@@ -318,26 +283,6 @@ int run_selftest(const std::string& report_out,
 
 // The writer keeps one event per line, so a line scanner is a full parser
 // for our own output (and fails loudly on anything else).
-bool field_str(const std::string& line, const std::string& key,
-               std::string& out) {
-  const std::string probe = "\"" + key + "\": \"";
-  const auto p = line.find(probe);
-  if (p == std::string::npos) return false;
-  const auto e = line.find('"', p + probe.size());
-  if (e == std::string::npos) return false;
-  out = line.substr(p + probe.size(), e - p - probe.size());
-  return true;
-}
-
-bool field_num(const std::string& line, const std::string& key,
-               long long& out) {
-  const std::string probe = "\"" + key + "\": ";
-  const auto p = line.find(probe);
-  if (p == std::string::npos) return false;
-  out = std::atoll(line.c_str() + p + probe.size());
-  return true;
-}
-
 int run_trace_check(const std::string& path, const std::string& report_out) {
   std::ifstream f(path);
   if (!f) {
@@ -368,14 +313,14 @@ int run_trace_check(const std::string& path, const std::string& report_out) {
   std::string line;
   while (std::getline(f, line)) {
     std::string ph;
-    if (!field_str(line, "ph", ph)) continue;
+    if (!json_field_str(line, "ph", ph)) continue;
     ++events;
     std::string name, cat;
-    field_str(line, "name", name);
-    field_str(line, "cat", cat);
-    long long ts = 0, tid = 0, id = 0;
-    field_num(line, "ts", ts);
-    field_num(line, "tid", tid);
+    json_field_str(line, "name", name);
+    json_field_str(line, "cat", cat);
+    long ts = 0, tid = 0, id = 0;
+    json_field_num(line, "ts", ts);
+    json_field_num(line, "tid", tid);
 
     // Proxy tagging: cat "proxy" if and only if the proxied-reply name —
     // the paper's 1T handoff must be identifiable in the viewer.
@@ -383,7 +328,7 @@ int run_trace_check(const std::string& path, const std::string& report_out) {
     if ((cat == "proxy") != (name == "reply (proxy)"))
       flag("proxy tag mismatch: name '" + name + "' cat '" + cat + "'");
 
-    if ((ph == "s" || ph == "f") && field_num(line, "id", id)) {
+    if ((ph == "s" || ph == "f") && json_field_num(line, "id", id)) {
       Flow& fl = flows[id];
       if (ph == "s") {
         ++fl.sends;
@@ -404,9 +349,9 @@ int run_trace_check(const std::string& path, const std::string& report_out) {
         cs.push_back({it->second, ts, tid});
         open_cs.erase(it);
       }
-    } else if (ph == "b" && field_num(line, "id", id)) {
+    } else if (ph == "b" && json_field_num(line, "id", id)) {
       ++open_requests[id];
-    } else if (ph == "e" && field_num(line, "id", id)) {
+    } else if (ph == "e" && json_field_num(line, "id", id)) {
       if (--open_requests[id] < 0)
         flag("async end before begin, id " + std::to_string(id));
     }
@@ -492,12 +437,8 @@ int run_single(harness::ExperimentConfig cfg, double rate, double tolerance,
                const std::string& flightrec_out) {
   cfg.check_invariants = true;
   cfg.flight_recorder_dump = flightrec_out;
-  if (cfg.workload.mode == harness::Workload::Config::Mode::kOpen) {
-    const double capacity = 1.0 / static_cast<double>(
-                                      2 * cfg.mean_delay +
-                                      cfg.workload.cs_duration);
-    cfg.workload.arrival_rate = rate * capacity / cfg.n;
-  }
+  if (cfg.workload.mode == harness::Workload::Config::Mode::kOpen)
+    harness::set_open_load(cfg, rate);
   const harness::ExperimentResult r = harness::run_experiment(cfg);
 
   std::cout << "dqme_check: " << mutex::to_string(cfg.algo)
@@ -616,105 +557,38 @@ int main(int argc, char** argv) try {
   bool selftest = false;
   std::string trace_path, preset, report_out, flightrec_out;
 
-  for (int i = 1; i < argc; ++i) {
-    // Accept both "--flag value" and "--flag=value" (CI uses the latter).
-    std::string a = argv[i];
-    std::string inline_val;
-    bool has_inline = false;
-    if (a.rfind("--", 0) == 0) {
-      const auto eq = a.find('=');
-      if (eq != std::string::npos) {
-        inline_val = a.substr(eq + 1);
-        a.resize(eq);
-        has_inline = true;
-      }
-    }
-    auto next = [&]() -> const char* {
-      if (has_inline) {
-        has_inline = false;
-        return inline_val.c_str();
-      }
-      if (i + 1 >= argc) {
-        std::cerr << "missing value for " << a << "\n";
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (a == "--help" || a == "-h") {
-      usage(argv[0]);
-      return 0;
-    } else if (a == "--selftest") {
-      selftest = true;
-    } else if (a == "--trace") {
-      trace_path = next();
-    } else if (a == "--preset") {
-      preset = next();
-    } else if (a == "--report-out") {
-      report_out = next();
-    } else if (a == "--flightrec-out") {
-      flightrec_out = next();
-    } else if (a == "--tolerance") {
-      tolerance = std::atof(next());
-      gate_divergence = true;
-    } else if (a == "--algo") {
-      cfg.algo = mutex::algo_from_string(next());
-    } else if (a == "--n") {
-      cfg.n = std::atoi(next());
-    } else if (a == "--quorum") {
-      cfg.quorum = next();
-    } else if (a == "--t") {
-      cfg.mean_delay = std::atoll(next());
-    } else if (a == "--load") {
-      const std::string mode = next();
-      if (mode == "closed")
-        cfg.workload.mode = harness::Workload::Config::Mode::kClosed;
-      else if (mode == "open")
-        cfg.workload.mode = harness::Workload::Config::Mode::kOpen;
-      else {
-        std::cerr << "unknown load mode: " << mode << "\n";
-        return 2;
-      }
-    } else if (a == "--rate") {
-      rate = std::atof(next());
-    } else if (a == "--warmup") {
-      cfg.warmup = std::atoll(next());
-    } else if (a == "--measure") {
-      cfg.measure = std::atoll(next());
-    } else if (a == "--seed") {
-      cfg.seed = static_cast<uint64_t>(std::atoll(next()));
-    } else if (a == "--ft") {
-      cfg.options.fault_tolerant = true;
-    } else if (a == "--liveness-bound") {
-      cfg.liveness_bound = std::atoll(next());
-    } else if (a == "--crash") {
-      const std::string spec = next();
-      const auto colon = spec.find(':');
-      if (colon == std::string::npos) {
-        std::cerr << "--crash expects T:SITE\n";
-        return 2;
-      }
-      cfg.crashes.push_back({std::atoll(spec.substr(0, colon).c_str()),
-                             std::atoi(spec.substr(colon + 1).c_str())});
-    } else {
-      std::cerr << "unknown option: " << a << "\n";
-      usage(argv[0]);
-      return 2;
-    }
-    if (has_inline) {
-      std::cerr << a << " does not take a value\n";
-      return 2;
-    }
-  }
+  // Modes first; without one, a single checked experiment runs.
+  flags::Table t(argv[0], "[mode] [options]");
+  t.flag("--selftest", "verify the checker detects seeded violations",
+         selftest)
+      .text("--trace", "FILE", "structural check of a Chrome trace JSON",
+            trace_path)
+      .choice("--preset", "smoke",
+              "CI matrix: invariants + model conformance", {"smoke"},
+              [&preset](size_t) { preset = "smoke"; });
+  harness::add_experiment_flags(t, cfg, rate);
+  t.number("--liveness-bound", "TICKS", "override the auto watchdog bound",
+           cfg.liveness_bound, Time{0})
+      .value("--tolerance", "X",
+             "max model divergence (default 0.05; single\n"
+             "run gates on it only when given explicitly)",
+             [&](const std::string& v) {
+               tolerance = flags::parse_number<double>(v, "--tolerance", 0);
+               gate_divergence = true;
+             })
+      .text("--report-out", "FILE", "write a JSON verdict", report_out)
+      .text("--flightrec-out", "PATH",
+            "black-box flight recorder: single run / smoke\n"
+            "rows dump PATH(-row) on the first violation;\n"
+            "selftest uses PATH as the per-case dump prefix\n"
+            "(default flightrec_selftest_)",
+            flightrec_out);
+  t.parse_or_exit(argc, argv);
 
   if (selftest) return run_selftest(report_out, flightrec_out);
   if (!trace_path.empty()) return run_trace_check(trace_path, report_out);
-  if (!preset.empty()) {
-    if (preset != "smoke") {
-      std::cerr << "unknown preset: " << preset << "\n";
-      return 2;
-    }
+  if (!preset.empty())
     return run_smoke(tolerance, cfg.seed, report_out, flightrec_out);
-  }
   return run_single(cfg, rate, tolerance, gate_divergence, report_out,
                     flightrec_out);
 } catch (const dqme::CheckError& e) {

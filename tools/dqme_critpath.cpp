@@ -17,22 +17,19 @@
 //                expected forms for scripts/validate_critpath.py.
 //   --selftest   seeded known-path fixtures (hand-built event streams with
 //                known causes) + the --table1 gate; exit 0/1.
-//
-// usage: dqme_critpath [--algo=NAME] [--rounds=R] [--top=K]
-//                      [--json[=PATH]] [--table1] [--selftest]
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "mutex/factory.h"
+#include "common/flags.h"
+#include "harness/deployment.h"
+#include "harness/experiment.h"
 #include "net/network.h"
 #include "obs/critpath.h"
-#include "quorum/factory.h"
 #include "sim/simulator.h"
 
 namespace {
@@ -41,11 +38,6 @@ using namespace dqme;
 
 constexpr Time kT = 1000;   // constant message delay
 constexpr Time kE = 2 * kT; // CS duration; >= T keeps handoffs proxy-eligible
-
-void usage() {
-  std::cerr << "usage: dqme_critpath [--algo=NAME] [--rounds=R] [--top=K] "
-               "[--json[=PATH]] [--table1] [--selftest]\n";
-}
 
 // The span_test ping-pong rig: sites 2 and 7 of a 3x3 grid (overlapping
 // arbiters {1, 8}) alternate the CS in a closed loop — the deterministic
@@ -59,16 +51,10 @@ Scenario run_pingpong(mutex::Algo algo, int rounds) {
   sim::Simulator sim;
   net::Network net(sim, 9, std::make_unique<net::ConstantDelay>(kT), 1);
   obs::SpanRecorder spans(net);
-  auto quorums = quorum::make_quorum_system("grid", 9);
-  std::vector<std::unique_ptr<mutex::MutexSite>> sites;
-  for (SiteId i = 0; i < 9; ++i) {
-    sites.push_back(
-        mutex::make_site(algo, i, net, quorums.get(), mutex::AlgoOptions{}));
-    net.attach(i, sites.back().get());
-    spans.attach(*sites.back());
-  }
+  const harness::Deployment dep(algo, 9, "grid", mutex::AlgoOptions{}, net);
+  spans.attach_all(dep.sites());
   auto drive = [&](SiteId id) {
-    auto* s = sites[static_cast<size_t>(id)].get();
+    mutex::MutexSite* s = &dep.site(id);
     auto remaining = std::make_shared<int>(rounds);
     s->on_enter = [&sim, s, remaining](SiteId, LockId) {
       sim.schedule_after(kE, [s, remaining] {
@@ -284,36 +270,19 @@ int main(int argc, char** argv) {
   size_t top = 3;
   bool json = false, table1 = false, selftest = false;
   std::string json_path;
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--help" || a == "-h") {
-      usage();
-      return 0;
-    } else if (a.rfind("--algo=", 0) == 0) {
-      algo = mutex::algo_from_string(a.substr(7));
-    } else if (a.rfind("--rounds=", 0) == 0) {
-      rounds = std::atoi(a.c_str() + 9);
-      if (rounds < 1) {
-        usage();
-        return 2;
-      }
-    } else if (a.rfind("--top=", 0) == 0) {
-      top = static_cast<size_t>(std::atoll(a.c_str() + 6));
-    } else if (a == "--json") {
-      json = true;
-    } else if (a.rfind("--json=", 0) == 0) {
-      json = true;
-      json_path = a.substr(7);
-    } else if (a == "--table1") {
-      table1 = true;
-    } else if (a == "--selftest") {
-      selftest = true;
-    } else {
-      std::cerr << "dqme_critpath: unknown argument '" << a << "'\n";
-      usage();
-      return 2;
-    }
-  }
+  flags::Table t(argv[0]);
+  harness::add_algo_flag(t, algo);
+  t.number("--rounds", "R", "CS rounds per driver (default 6)", rounds, 1)
+      .number("--top", "K", "slowest paths to render (default 3)", top)
+      .optional("--json", "PATH",
+                "write the budget as JSON (to stdout without\nPATH)", json,
+                json_path)
+      .flag("--table1", "Table-1 gate: cao-singhal 1*T tails vs\n"
+                        "maekawa 2*T on one schedule",
+            table1)
+      .flag("--selftest", "seeded known-path fixtures + the --table1 gate",
+            selftest);
+  t.parse_or_exit(argc, argv);
   if (selftest) return run_selftest();
   if (table1) return run_table1(json, json_path, rounds);
 

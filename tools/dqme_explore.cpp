@@ -22,13 +22,15 @@
 //   dqme_explore --preset smoke --json smoke.json
 //   dqme_explore --preset n4 --workers 8 --json n4.json
 #include <chrono>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/flags.h"
+#include "common/json.h"
+#include "harness/experiment.h"
 #include "obs/chrome_trace.h"
 #include "verify/explorer.h"
 #include "verify/parallel.h"
@@ -37,55 +39,10 @@ namespace {
 
 using namespace dqme;
 
-void usage(const char* argv0) {
-  std::cout
-      << "usage: " << argv0 << " [options]\n"
-      << "  --algo NAME        protocol to check (default cao-singhal)\n"
-      << "  --n N              number of sites (default 3)\n"
-      << "  --quorum KIND      quorum construction (default grid)\n"
-      << "  --cs-per-site K    CS entries each site wants (default 2)\n"
-      << "  --depth D          truncate schedules after D actions (0 = off)\n"
-      << "  --budget S         stop after S complete schedules (0 = off)\n"
-      << "  --nodes M          stop after M explored actions (0 = off)\n"
-      << "  --crashes K        allow up to K crash actions per schedule\n"
-      << "  --crash-sites \"A B\"  candidate victims (default: site n-1)\n"
-      << "  --ft               §6 fault-tolerance layer (implied by\n"
-      << "                     --crashes > 0)\n"
-      << "  --mutate NAME      seeded fault: double-grant | lost-transfer |\n"
-      << "                     fifo-inversion | deadlock-ordering\n"
-      << "  --dpor MODE        dependence relation: source (default) |\n"
-      << "                     sleep (conservative, crash vs everything)\n"
-      << "  --workers K        parallel exploration with K worker threads\n"
-      << "                     (default 1; counts stay byte-identical)\n"
-      << "  --split-depth D    task-split depth for --workers (default 2)\n"
-      << "  --no-por           naive DFS, no reduction at all\n"
-      << "  --compare          run sleep and source DPOR, report the ratio\n"
-      << "  --compare-naive    run reduced and naive, report both + ratio\n"
-      << "  --keep-going       collect every violation, not just the first\n"
-      << "  --no-minimize      keep counterexamples unshrunk\n"
-      << "  --repro-out FILE   write the first violation as a replayable\n"
-      << "                     schedule (dqme_sim --replay-schedule FILE)\n"
-      << "  --trace-out FILE   Chrome trace of the first counterexample\n"
-      << "  --flightrec-out FILE  flight-recorder dump of the replayed\n"
-      << "                     counterexample (ring tail ends in the\n"
-      << "                     violation)\n"
-      << "  --json FILE        machine-readable report\n"
-      << "  --frontier-out FILE  serialize the remaining work when a budget\n"
-      << "                     suspends the search (resumable at any\n"
-      << "                     --workers count)\n"
-      << "  --resume FILE      continue from a saved frontier (v1 or v2)\n"
-      << "  --preset smoke     CI gate: cao-singhal + maekawa at N=3,\n"
-      << "                     bounded budget, expects 0 violations\n"
-      << "  --preset n4        CI gate: exhaustive cao-singhal N=4 with one\n"
-      << "                     crash, expects COMPLETE and 0 violations\n";
-}
-
 struct Options {
   verify::ExplorerConfig explorer;
   int workers = 1;
   size_t split_depth = 0;  // 0 = ParallelExplorer default
-  bool crash_sites_set = false;
-  bool ft_set = false;
   bool compare_naive = false;
   bool compare_dpor = false;
   std::string repro_out;
@@ -97,111 +54,109 @@ struct Options {
   std::string preset;
 };
 
-bool parse_args(int argc, char** argv, Options& opt) {
+flags::Table explore_flags(const char* argv0, Options& opt) {
   verify::ExplorerConfig& ex = opt.explorer;
   ex.dpor = verify::Dpor::kSource;  // CLI default; the library stays kSleep
-  for (int i = 1; i < argc; ++i) {
-    std::string a = argv[i];
-    // Accept both "--flag value" and "--flag=value" (CI uses the latter).
-    const char* inline_value = nullptr;
-    if (a.rfind("--", 0) == 0) {
-      const size_t eq = a.find('=');
-      if (eq != std::string::npos) {
-        inline_value = argv[i] + eq + 1;
-        a.resize(eq);
-      }
-    }
-    auto next = [&]() -> const char* {
-      if (inline_value != nullptr) return inline_value;
-      if (i + 1 >= argc) {
-        std::cerr << "missing value for " << a << "\n";
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (a == "--help" || a == "-h") {
-      usage(argv[0]);
-      std::exit(0);
-    } else if (a == "--algo") {
-      ex.world.algo = mutex::algo_from_string(next());
-    } else if (a == "--n") {
-      ex.world.n = std::atoi(next());
-    } else if (a == "--quorum") {
-      ex.world.quorum = next();
-    } else if (a == "--cs-per-site") {
-      ex.world.cs_per_site = std::atoi(next());
-    } else if (a == "--depth") {
-      ex.max_depth = std::atoi(next());
-    } else if (a == "--budget") {
-      ex.max_schedules = static_cast<uint64_t>(std::atoll(next()));
-    } else if (a == "--nodes") {
-      ex.max_nodes = static_cast<uint64_t>(std::atoll(next()));
-    } else if (a == "--crashes") {
-      ex.world.max_crashes = std::atoi(next());
-    } else if (a == "--crash-sites") {
-      opt.crash_sites_set = true;
-      ex.world.crash_sites.clear();
-      std::istringstream sites(next());
-      SiteId s = kNoSite;
-      while (sites >> s) ex.world.crash_sites.push_back(s);
-    } else if (a == "--ft") {
-      opt.ft_set = true;
-    } else if (a == "--mutate") {
-      ex.world.mutation = verify::mutation_from_string(next());
-    } else if (a == "--dpor") {
-      ex.dpor = verify::dpor_from_string(next());
-    } else if (a == "--workers") {
-      opt.workers = std::atoi(next());
-      if (opt.workers < 1) opt.workers = 1;
-    } else if (a == "--split-depth") {
-      opt.split_depth = static_cast<size_t>(std::atoll(next()));
-    } else if (a == "--no-por") {
-      ex.por = false;
-    } else if (a == "--compare") {
-      opt.compare_dpor = true;
-    } else if (a == "--compare-naive") {
-      opt.compare_naive = true;
-    } else if (a == "--keep-going") {
-      ex.stop_on_violation = false;
-    } else if (a == "--no-minimize") {
-      ex.minimize = false;
-    } else if (a == "--repro-out") {
-      opt.repro_out = next();
-    } else if (a == "--trace-out") {
-      opt.trace_out = next();
-    } else if (a == "--flightrec-out") {
-      opt.flightrec_out = next();
-    } else if (a == "--json") {
-      opt.json_out = next();
-    } else if (a == "--frontier-out") {
-      opt.frontier_out = next();
-    } else if (a == "--resume") {
-      opt.resume = next();
-    } else if (a == "--preset") {
-      opt.preset = next();
-    } else {
-      std::cerr << "unknown option: " << a << "\n";
-      return false;
-    }
-  }
-  if (ex.world.max_crashes > 0) {
-    // Crash branching exercises the §6 recovery layer, which only the
-    // fault-tolerant Cao-Singhal configuration implements.
-    ex.world.fault_tolerant = true;
-    if (!opt.crash_sites_set)
-      ex.world.crash_sites = {static_cast<SiteId>(ex.world.n - 1)};
-  }
-  if (opt.ft_set) ex.world.fault_tolerant = true;
-  return true;
+  flags::Table t(argv0);
+  harness::add_algo_flag(t, ex.world.algo);
+  t.number("--n", "N", "number of sites (default 3)", ex.world.n, 2)
+      .text("--quorum", "KIND", "quorum construction (default grid)",
+            ex.world.quorum)
+      .number("--cs-per-site", "K", "CS entries each site wants (default 2)",
+              ex.world.cs_per_site, 1)
+      .number("--depth", "D", "truncate schedules after D actions (0 = off)",
+              ex.max_depth, 0)
+      .number("--budget", "S", "stop after S complete schedules (0 = off)",
+              ex.max_schedules)
+      .number("--nodes", "M", "stop after M explored actions (0 = off)",
+              ex.max_nodes)
+      .number("--crashes", "K", "allow up to K crash actions per schedule",
+              ex.world.max_crashes, 0)
+      .value("--crash-sites", "\"A B\"",
+             "candidate victims (default: site n-1)",
+             [&opt](const std::string& v) {
+               std::vector<SiteId>& sites = opt.explorer.world.crash_sites;
+               sites.clear();
+               std::istringstream in(v);
+               for (std::string tok; in >> tok;)
+                 sites.push_back(
+                     flags::parse_number<SiteId>(tok, "--crash-sites", 0));
+               if (sites.empty())
+                 throw flags::UsageError("--crash-sites needs a site");
+             })
+      .flag("--ft", "§6 fault-tolerance layer (implied by\n--crashes > 0)",
+            ex.world.fault_tolerant)
+      .value("--mutate", "NAME",
+             "seeded fault: double-grant | lost-transfer |\n"
+             "fifo-inversion | deadlock-ordering",
+             [&ex](const std::string& v) {
+               ex.world.mutation = verify::mutation_from_string(v);
+             })
+      .value("--dpor", "MODE",
+             "dependence relation: source (default) |\n"
+             "sleep (conservative, crash vs everything)",
+             [&ex](const std::string& v) {
+               ex.dpor = verify::dpor_from_string(v);
+             })
+      .number("--workers", "K",
+              "parallel exploration with K worker threads\n"
+              "(default 1; counts stay byte-identical)",
+              opt.workers, 1)
+      .number("--split-depth", "D",
+              "task-split depth for --workers (default 2)", opt.split_depth)
+      .flag("--no-por", "naive DFS, no reduction at all",
+            [&ex] { ex.por = false; })
+      .flag("--compare", "run sleep and source DPOR, report the ratio",
+            opt.compare_dpor)
+      .flag("--compare-naive", "run reduced and naive, report both + ratio",
+            opt.compare_naive)
+      .flag("--keep-going", "collect every violation, not just the first",
+            [&ex] { ex.stop_on_violation = false; })
+      .flag("--no-minimize", "keep counterexamples unshrunk",
+            [&ex] { ex.minimize = false; })
+      .text("--repro-out", "FILE",
+            "write the first violation as a replayable\n"
+            "schedule (dqme_sim --replay-schedule FILE)",
+            opt.repro_out)
+      .text("--trace-out", "FILE", "Chrome trace of the first counterexample",
+            opt.trace_out)
+      .text("--flightrec-out", "FILE",
+            "flight-recorder dump of the replayed\n"
+            "counterexample (ring tail ends in the\n"
+            "violation)",
+            opt.flightrec_out)
+      .text("--json", "FILE", "machine-readable report", opt.json_out)
+      .text("--frontier-out", "FILE",
+            "serialize the remaining work when a budget\n"
+            "suspends the search (resumable at any\n"
+            "--workers count)",
+            opt.frontier_out)
+      .text("--resume", "FILE", "continue from a saved frontier (v1 or v2)",
+            opt.resume)
+      .choice("--preset", "NAME",
+              "smoke: CI gate, cao-singhal + maekawa at N=3,\n"
+              "bounded budget, expects 0 violations;\n"
+              "n4: CI gate, exhaustive cao-singhal N=4 with one\n"
+              "crash, expects COMPLETE and 0 violations",
+              {"smoke", "n4"},
+              [&opt](size_t i) { opt.preset = i == 0 ? "smoke" : "n4"; });
+  return t;
 }
 
-void write_json_escaped(std::ostream& os, const std::string& s) {
-  os << '"';
-  for (char c : s) {
-    if (c == '"' || c == '\\') os << '\\';
-    os << c;
+// Derived settings, once the whole command line is in.
+void finish_options(const flags::Table& t, Options& opt) {
+  verify::WorldConfig& w = opt.explorer.world;
+  if (w.max_crashes > 0) {
+    // Crash branching exercises the §6 recovery layer, which only the
+    // fault-tolerant Cao-Singhal configuration implements.
+    w.fault_tolerant = true;
+    if (w.crash_sites.empty())
+      w.crash_sites = {static_cast<SiteId>(w.n - 1)};
   }
-  os << '"';
+  for (SiteId v : w.crash_sites)
+    if (v >= w.n)
+      t.fail("--crash-sites: site " + std::to_string(v) +
+             " is outside 0.." + std::to_string(w.n - 1));
 }
 
 // One exploration — sequential or parallel — behind a single seam, so the
@@ -233,7 +188,7 @@ int frontier_version(const std::string& path) {
   std::string line;
   long marker = 0;
   if (f && std::getline(f, line) &&
-      verify::json_field_num(line, "dqme_frontier", marker))
+      json_field_num(line, "dqme_frontier", marker))
     return static_cast<int>(marker);
   return 0;
 }
@@ -390,7 +345,7 @@ void write_json_report(std::ostream& os, const verify::ExplorerConfig& cfg,
     for (const std::string& rep : v.reports) {
       if (!first) os << ",";
       first = false;
-      write_json_escaped(os, rep);
+      os << json_string(rep);
     }
   os << "]}\n";
 }
@@ -550,16 +505,11 @@ int run_n4(const Options& opt) {
 
 int main(int argc, char** argv) try {
   Options opt;
-  if (!parse_args(argc, argv, opt)) {
-    usage(argv[0]);
-    return 2;
-  }
-  if (!opt.preset.empty()) {
-    if (opt.preset == "smoke") return run_smoke(opt);
-    if (opt.preset == "n4") return run_n4(opt);
-    std::cerr << "unknown preset: " << opt.preset << "\n";
-    return 2;
-  }
+  const flags::Table t = explore_flags(argv[0], opt);
+  t.parse_or_exit(argc, argv);
+  finish_options(t, opt);
+  if (opt.preset == "smoke") return run_smoke(opt);
+  if (opt.preset == "n4") return run_n4(opt);
 
   RunOutcome out;
   if (!run_once(opt.explorer, opt.workers, opt.split_depth, opt.resume,

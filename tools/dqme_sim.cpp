@@ -10,12 +10,13 @@
 //   dqme_sim --algo maekawa --n 13 --quorum fpp --load open --rate 0.5
 //   dqme_sim --algo cao-singhal --n 15 --quorum tree --ft
 //            --crash 500000:0 --crash 900000:7   (one line)
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/flags.h"
 #include "harness/experiment.h"
 #include "harness/table.h"
 #include "obs/chrome_trace.h"
@@ -26,131 +27,97 @@ namespace {
 
 using namespace dqme;
 
-void usage(const char* argv0) {
-  std::cout
-      << "usage: " << argv0 << " [options]\n"
-      << "  --backend B      sim (discrete-event, default) | rt (real\n"
-      << "                   threads: one pump thread per site on lock-free\n"
-      << "                   SPSC rings; wall-clock numbers)\n"
-      << "  --algo NAME      lamport | ricart-agrawala | maekawa | raymond\n"
-      << "                   | suzuki-kasami | cao-singhal |"
-      << " cao-singhal-noproxy\n"
-      << "  --n N            number of sites (default 25)\n"
-      << "  --quorum KIND    grid | fpp | tree | majority | hqc |\n"
-      << "                   gridset[:G] | rst[:G] | singleton | all\n"
-      << "  --t TICKS        mean message delay T (default 1000)\n"
-      << "  --delay KIND     constant | uniform | exponential\n"
-      << "  --load MODE      closed (saturation, default) | open\n"
-      << "  --rate R         open loop: offered load as a fraction of\n"
-      << "                   1/(2T+E) aggregate capacity (default 0.5)\n"
-      << "  --cs TICKS       CS duration E (default 100)\n"
-      << "  --exp-cs         exponential CS durations\n"
-      << "  --think TICKS    closed loop think time (default 0)\n"
-      << "  --warmup TICKS   (default 200000)\n"
-      << "  --measure TICKS  (default 2000000)\n"
-      << "  --seed S         (default 1)\n"
-      << "  --locks M        lock-table size (default 1; dense LockIds\n"
-      << "                   0..M-1, independent critical sections)\n"
-      << "  --zipf S         open loop, --locks > 1: lock-popularity skew\n"
-      << "                   (0 = uniform, default)\n"
-      << "  --lock-piggyback W  staged messages for different locks to the\n"
-      << "                   same site within W ticks share one wire flight\n"
-      << "                   (default off)\n"
-      << "  --ft             enable the §6 fault-tolerance layer\n"
-      << "  --crash T:SITE   crash SITE at time T (repeatable)\n"
-      << "  --no-piggyback   disable piggybacking (ablation)\n"
-      << "  --trace-out FILE record the run and write Chrome trace-event\n"
-      << "                   JSON (chrome://tracing / ui.perfetto.dev)\n"
-      << "  --replay-schedule FILE  replay a dqme_explore schedule (its\n"
-      << "                   config rides in the file; other options except\n"
-      << "                   --trace-out are ignored); exits 1 when the\n"
-      << "                   replay reproduces a violation\n"
-      << "rt backend only (--backend rt):\n"
-      << "  --entries N      aggregate CS entries to perform (default 5000)\n"
-      << "  --max-seconds S  soft wall-clock stop (default 30)\n"
-      << "  --outstanding K  per-site pipeline depth, --locks > 1 only\n"
-      << "                   (default 8)\n"
-      << "  --wire-delay-us D  emulated wire latency in microseconds — the\n"
-      << "                   paper's T on real threads (default 100; 0 =\n"
-      << "                   raw ring speed)\n"
-      << "  --no-check       skip the safety probe and the merged\n"
-      << "                   invariant-checker replay\n"
-      << "(simulator-shape flags — --t, --delay, --load, --warmup, ... —\n"
-      << " are rejected under --backend rt rather than silently ignored)\n"
-      << "For a sim run under the online invariant checker (CS exclusion,\n"
-      << "per-arbiter permission ledger, transfer conservation, FIFO,\n"
-      << "liveness; crashes included) use dqme_check --algo ... --n ...\n";
+void add_backend_flag(flags::Table& t, bool& rt) {
+  t.choice("--backend", "B",
+           "sim (discrete-event, default) | rt (real\n"
+           "threads: one pump thread per site on lock-free\n"
+           "SPSC rings; wall-clock numbers)",
+           {"sim", "rt"}, [&rt](size_t i) { rt = i == 1; });
+}
+
+// The simulator's table: the experiment flags dqme_check shares, plus the
+// workload-shaping, lock-table and capture flags only dqme_sim takes.
+flags::Table sim_flags(const char* argv0, harness::ExperimentConfig& cfg,
+                       double& rate, bool& rt, std::string& trace_out,
+                       std::string& replay) {
+  flags::Table t(argv0);
+  add_backend_flag(t, rt);
+  harness::add_experiment_flags(t, cfg, rate);
+  t.choice("--delay", "KIND", "constant (default) | uniform | exponential",
+           {"constant", "uniform", "exponential"},  // DelayKind's order
+           [&cfg](size_t i) {
+             cfg.delay_kind =
+                 static_cast<harness::ExperimentConfig::DelayKind>(i);
+           })
+      .number("--cs", "TICKS", "CS duration E (default 10)",
+              cfg.workload.cs_duration, Time{0})
+      .flag("--exp-cs", "exponential CS durations", cfg.workload.exponential_cs)
+      .number("--think", "TICKS", "closed loop think time (default 0)",
+              cfg.workload.think_time, Time{0})
+      .number("--locks", "M",
+              "lock-table size (default 1; dense LockIds\n"
+              "0..M-1, independent critical sections)",
+              cfg.options.num_locks, LockId{1})
+      .number("--zipf", "S",
+              "open loop, --locks > 1: lock-popularity skew\n"
+              "(0 = uniform, default)",
+              cfg.workload.zipf_skew, 0.0)
+      .number("--lock-piggyback", "W",
+              "staged messages for different locks to the\n"
+              "same site within W ticks share one wire flight\n"
+              "(default off)",
+              cfg.lock_piggyback_window)
+      .flag("--no-piggyback", "disable piggybacking (ablation)",
+            [&cfg] { cfg.options.piggyback = false; })
+      .text("--trace-out", "FILE",
+            "record the run and write Chrome trace-event\n"
+            "JSON (chrome://tracing / ui.perfetto.dev)",
+            trace_out)
+      .text("--replay-schedule", "FILE",
+            "replay a dqme_explore schedule (its config\n"
+            "rides in the file; other options except\n"
+            "--trace-out are ignored); exits 1 when the\n"
+            "replay reproduces a violation",
+            replay);
+  return t;
 }
 
 // --backend rt: the real-threads free-run driver (rt::run_free) behind the
-// same CLI. Only the flags that make sense for a wall-clock run are
-// accepted; simulator-shape flags get a pointed error instead of being
-// silently ignored, so a copy-pasted sim command line cannot masquerade as
-// an rt measurement.
-int rt_backend_main(int argc, char** argv) {
-  rt::FreeRunConfig cfg;
-  cfg.n = 25;
-  cfg.target_entries = 5000;
-  cfg.wire_delay_us = 100;
-  cfg.check = true;
-  cfg.quorum = "grid";
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::cerr << "missing value for " << a << "\n";
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (a == "--help" || a == "-h") {
-      usage(argv[0]);
-      return 0;
-    } else if (a == "--backend") {
-      next();  // already dispatched on it
-    } else if (a.rfind("--backend=", 0) == 0) {
-      // already dispatched on it
-    } else if (a == "--algo") {
-      cfg.algo = mutex::algo_from_string(next());
-    } else if (a == "--n") {
-      cfg.n = std::atoi(next());
-    } else if (a == "--quorum") {
-      cfg.quorum = next();
-    } else if (a == "--locks") {
-      cfg.num_locks = std::atoi(next());
-    } else if (a == "--ft") {
-      cfg.fault_tolerant = true;
-    } else if (a == "--seed") {
-      cfg.seed = static_cast<uint64_t>(std::atoll(next()));
-    } else if (a == "--entries") {
-      cfg.target_entries = static_cast<uint64_t>(std::atoll(next()));
-    } else if (a == "--max-seconds") {
-      cfg.max_seconds = std::atof(next());
-    } else if (a == "--outstanding") {
-      cfg.outstanding = std::atoi(next());
-    } else if (a == "--wire-delay-us") {
-      cfg.wire_delay_us = static_cast<uint64_t>(std::atoll(next()));
-    } else if (a == "--no-check") {
-      cfg.check = false;
-    } else if (a == "--t" || a == "--delay" || a == "--load" ||
-               a == "--rate" || a == "--cs" || a == "--exp-cs" ||
-               a == "--think" || a == "--warmup" || a == "--measure" ||
-               a == "--zipf" || a == "--lock-piggyback" || a == "--ft-crash" ||
-               a == "--crash" || a == "--no-piggyback" ||
-               a == "--trace-out" || a == "--replay-schedule") {
-      std::cerr << a
-                << " is simulator-only: the rt backend runs wall-clock with "
-                   "real threads (see --wire-delay-us / --entries / "
-                   "--max-seconds), so simulated-time shaping does not "
-                   "apply\n";
-      return 2;
-    } else {
-      std::cerr << "unknown option: " << a << "\n";
-      usage(argv[0]);
-      return 2;
-    }
-  }
+// same CLI. Its table takes only the flags that make sense for a
+// wall-clock run; a flag found in the simulator's table instead gets a
+// pointed error rather than being silently ignored, so a copy-pasted sim
+// command line cannot masquerade as an rt measurement.
+flags::Table rt_flags(const char* argv0, rt::FreeRunConfig& cfg, bool& rt) {
+  flags::Table t(argv0);
+  add_backend_flag(t, rt);
+  harness::add_algo_flag(t, cfg.algo);
+  t.number("--n", "N", "number of sites (default 25)", cfg.n, 2)
+      .text("--quorum", "KIND", "quorum construction (default grid)",
+            cfg.quorum)
+      .number("--locks", "M", "lock-table size (default 1)", cfg.num_locks,
+              LockId{1})
+      .flag("--ft", "enable the §6 fault-tolerance layer", cfg.fault_tolerant)
+      .number("--seed", "S", "(default 1)", cfg.seed)
+      .number("--entries", "N",
+              "aggregate CS entries to perform (default 5000)",
+              cfg.target_entries, uint64_t{1})
+      .number("--max-seconds", "S", "soft wall-clock stop (default 30)",
+              cfg.max_seconds, 0.0)
+      .number("--outstanding", "K",
+              "per-site pipeline depth, --locks > 1 only\n(default 8)",
+              cfg.outstanding, 1)
+      .number("--wire-delay-us", "D",
+              "emulated wire latency in microseconds — the\n"
+              "paper's T on real threads (default 100; 0 =\n"
+              "raw ring speed)",
+              cfg.wire_delay_us)
+      .flag("--no-check", "skip the safety probe and the merged\n"
+                          "invariant-checker replay",
+            [&cfg] { cfg.check = false; });
+  return t;
+}
 
+int rt_backend_main(const rt::FreeRunConfig& cfg) {
   std::cout << "dqme_sim [rt backend]: " << mutex::to_string(cfg.algo)
             << "  N=" << cfg.n << " (pump threads)";
   if (mutex::algo_uses_quorum(cfg.algo))
@@ -191,107 +158,6 @@ int rt_backend_main(int argc, char** argv) {
                            (r.error.empty() ? "violations detected" : r.error) +
                            "\n");
   return r.ok ? 0 : 1;
-}
-
-bool parse_args(int argc, char** argv, harness::ExperimentConfig& cfg,
-                double& rate, std::string& trace_out,
-                std::string& replay_schedule) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::cerr << "missing value for " << a << "\n";
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (a == "--help" || a == "-h") {
-      usage(argv[0]);
-      std::exit(0);
-    } else if (a == "--backend") {
-      next();  // main() already dispatched on it; value validated there
-    } else if (a.rfind("--backend=", 0) == 0) {
-      // main() already dispatched on it
-    } else if (a == "--algo") {
-      cfg.algo = mutex::algo_from_string(next());
-    } else if (a == "--n") {
-      cfg.n = std::atoi(next());
-    } else if (a == "--quorum") {
-      cfg.quorum = next();
-    } else if (a == "--t") {
-      cfg.mean_delay = std::atoll(next());
-    } else if (a == "--delay") {
-      const std::string kind = next();
-      if (kind == "constant")
-        cfg.delay_kind = harness::ExperimentConfig::DelayKind::kConstant;
-      else if (kind == "uniform")
-        cfg.delay_kind = harness::ExperimentConfig::DelayKind::kUniform;
-      else if (kind == "exponential")
-        cfg.delay_kind = harness::ExperimentConfig::DelayKind::kExponential;
-      else {
-        std::cerr << "unknown delay kind: " << kind << "\n";
-        return false;
-      }
-    } else if (a == "--load") {
-      const std::string mode = next();
-      if (mode == "closed")
-        cfg.workload.mode = harness::Workload::Config::Mode::kClosed;
-      else if (mode == "open")
-        cfg.workload.mode = harness::Workload::Config::Mode::kOpen;
-      else {
-        std::cerr << "unknown load mode: " << mode << "\n";
-        return false;
-      }
-    } else if (a == "--rate") {
-      rate = std::atof(next());
-    } else if (a == "--cs") {
-      cfg.workload.cs_duration = std::atoll(next());
-    } else if (a == "--exp-cs") {
-      cfg.workload.exponential_cs = true;
-    } else if (a == "--think") {
-      cfg.workload.think_time = std::atoll(next());
-    } else if (a == "--warmup") {
-      cfg.warmup = std::atoll(next());
-    } else if (a == "--measure") {
-      cfg.measure = std::atoll(next());
-    } else if (a == "--seed") {
-      cfg.seed = static_cast<uint64_t>(std::atoll(next()));
-    } else if (a == "--locks") {
-      cfg.options.num_locks = std::atoi(next());
-    } else if (a == "--zipf") {
-      cfg.workload.zipf_skew = std::atof(next());
-    } else if (a == "--lock-piggyback") {
-      cfg.lock_piggyback_window = std::atoll(next());
-    } else if (a == "--ft") {
-      cfg.options.fault_tolerant = true;
-    } else if (a == "--no-piggyback") {
-      cfg.options.piggyback = false;
-    } else if (a == "--replay-schedule") {
-      replay_schedule = next();
-    } else if (a.rfind("--replay-schedule=", 0) == 0) {
-      replay_schedule = a.substr(std::string("--replay-schedule=").size());
-      if (replay_schedule.empty()) return false;
-    } else if (a == "--trace-out") {
-      trace_out = next();
-    } else if (a.rfind("--trace-out=", 0) == 0) {
-      trace_out = a.substr(std::string("--trace-out=").size());
-      if (trace_out.empty()) return false;
-    } else if (a == "--crash") {
-      const std::string spec = next();
-      const auto colon = spec.find(':');
-      if (colon == std::string::npos) {
-        std::cerr << "--crash expects T:SITE\n";
-        return false;
-      }
-      cfg.crashes.push_back(
-          {std::atoll(spec.substr(0, colon).c_str()),
-           std::atoi(spec.substr(colon + 1).c_str())});
-    } else {
-      std::cerr << "unknown option: " << a << "\n";
-      return false;
-    }
-  }
-  return true;
 }
 
 // Replays a schedule emitted by dqme_explore --repro-out: rebuilds the
@@ -349,40 +215,57 @@ int replay_schedule_main(const std::string& path,
 }  // namespace
 
 int main(int argc, char** argv) try {
-  // Backend dispatch happens before the full parse: the two backends have
-  // different flag vocabularies.
-  std::string backend = "sim";
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--backend" && i + 1 < argc)
-      backend = argv[i + 1];
-    else if (a.rfind("--backend=", 0) == 0)
-      backend = a.substr(std::string("--backend=").size());
-  }
-  if (backend == "rt") return rt_backend_main(argc, argv);
-  if (backend != "sim") {
-    std::cerr << "unknown backend: " << backend << " (sim | rt)\n";
-    return 2;
-  }
-
+  // Both backends parse the same command line, each with its own table:
+  // the sim table first (it knows --backend), then, for --backend rt, the
+  // rt table, which looks up whatever it does not take in the sim table.
+  bool use_rt = false;
   harness::ExperimentConfig cfg;
   double rate = 0.5;
   std::string trace_out;
   std::string replay_schedule;
-  if (!parse_args(argc, argv, cfg, rate, trace_out, replay_schedule)) {
-    usage(argv[0]);
-    return 2;
+  flags::Table sim = sim_flags(argv[0], cfg, rate, use_rt, trace_out,
+                               replay_schedule);
+  rt::FreeRunConfig rcfg;
+  rcfg.n = 25;
+  rcfg.target_entries = 5000;
+  rcfg.wire_delay_us = 100;
+  rcfg.check = true;
+  rcfg.quorum = "grid";
+  const flags::Table rt = rt_flags(argv[0], rcfg, use_rt);
+  std::ostringstream rt_help;
+  rt_help << "rt backend only (--backend rt):\n";
+  rt.entries(rt_help, &sim);
+  rt_help << "(simulator-shape flags — --t, --delay, --load, --warmup, ... —\n"
+             " are rejected under --backend rt rather than silently ignored)\n"
+             "For a sim run under the online invariant checker (CS exclusion,\n"
+             "per-arbiter permission ledger, transfer conservation, FIFO,\n"
+             "liveness; crashes included) use dqme_check --algo ... --n ...\n";
+  sim.epilog(rt_help.str());
+
+  const std::vector<std::string> rest =
+      sim.parse_or_exit(argc, argv, /*pass_through=*/true);
+  if (use_rt) {
+    const std::vector<std::string> rt_rest = rt.parse_or_exit(argc, argv, true);
+    if (!rt_rest.empty())
+      rt.fail(sim.has(rt_rest.front())
+                  ? rt_rest.front() +
+                        " is simulator-only: the rt backend runs wall-clock "
+                        "with real threads (see --wire-delay-us / --entries "
+                        "/ --max-seconds), so simulated-time shaping does "
+                        "not apply"
+                  : flags::unknown_argument(rt_rest.front()));
+    return rt_backend_main(rcfg);
   }
+  if (!rest.empty())
+    sim.fail(rt.has(rest.front()) ? rest.front() + " needs --backend rt"
+                                  : flags::unknown_argument(rest.front()));
+
   if (!replay_schedule.empty())
     return replay_schedule_main(replay_schedule, trace_out);
   obs::RunCapture cap;
   if (!trace_out.empty()) cfg.capture = &cap;
-  if (cfg.workload.mode == harness::Workload::Config::Mode::kOpen) {
-    const double capacity =
-        1.0 / static_cast<double>(2 * cfg.mean_delay +
-                                  cfg.workload.cs_duration);
-    cfg.workload.arrival_rate = rate * capacity / cfg.n;
-  }
+  if (cfg.workload.mode == harness::Workload::Config::Mode::kOpen)
+    harness::set_open_load(cfg, rate);
 
   const harness::ExperimentResult r = harness::run_experiment(cfg);
   const double t = static_cast<double>(cfg.mean_delay);

@@ -24,49 +24,30 @@
 // the path's wire hops — slices and flow arrows — with "crit": 1, which
 // scripts/validate_trace.py --crit checks forms a single time-ordered
 // chain.
-//
-// usage: dqme_trace [N] [num_cs] [seed] [--span=SITE:SEQ] [--lock=ID]
-//                   [--locks=M] [--crit] [--json[=PATH]] [--timeline=FILE]
-//   (defaults: 4 sites, 6 CS, seed 1; --json with no PATH writes stdout)
 #include <algorithm>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
-#include "net/network.h"
-#include "core/cao_singhal.h"
+#include "common/flags.h"
+#include "common/json.h"
+#include "harness/deployment.h"
 #include "harness/workload.h"
+#include "net/network.h"
 #include "net/trace.h"
 #include "obs/chrome_trace.h"
 #include "obs/critpath.h"
-#include "quorum/factory.h"
 
 namespace {
 
-void usage() {
-  std::cerr << "usage: dqme_trace [N] [num_cs] [seed] [--span=SITE:SEQ] "
-               "[--lock=ID] [--locks=M] [--crit] [--json[=PATH]] "
-               "[--timeline=FILE]\n";
-}
-
 // ---- --timeline render mode -------------------------------------------
 // Line-oriented scan of obs::Timeline::write_json output: the writer emits
-// one series per line, so a find/strtod pass recovers every array without
-// a JSON parser. Works on a raw timeline file or a bench --json file (the
+// one series per line, so the JSON field scanners and a strtod pass recover
+// every array without a JSON parser. Works on a raw timeline file or a bench --json file (the
 // timeline object sits under the "timeline" key; the registry object is a
 // single unrelated line and never matches the "origin" anchor first).
-
-// First double after `"key": ` on the line, or fallback when absent.
-double field_num(const std::string& line, const std::string& key,
-                 double fallback) {
-  const std::string anchor = "\"" + key + "\":";
-  const auto at = line.find(anchor);
-  if (at == std::string::npos) return fallback;
-  return std::strtod(line.c_str() + at + anchor.size(), nullptr);
-}
 
 // First quoted string on the line (series/marker names never contain
 // escapes — Timeline::write_json escapes only `"` and `\`, and every name
@@ -140,10 +121,10 @@ int render_timeline(const std::string& path) {
                  "timeline_window?)\n";
     return 1;
   }
-  const auto origin = static_cast<Time>(field_num(lines[start], "origin", 0));
-  const auto window = static_cast<Time>(field_num(lines[start], "window", 0));
-  const auto windows = static_cast<size_t>(
-      field_num(lines[start], "windows", 0));
+  long origin = 0, window = 0, windows = 0;
+  dqme::json_field_num(lines[start], "origin", origin);
+  dqme::json_field_num(lines[start], "window", window);
+  dqme::json_field_num(lines[start], "windows", windows);
   std::cout << "timeline: origin=" << origin << " window=" << window
             << " windows=" << windows << "  (" << path << ")\n";
 
@@ -183,9 +164,9 @@ int render_timeline(const std::string& path) {
         const std::string obj = line.substr(pos, end - pos + 1);
         const auto lab = obj.find("\"label\":");
         if (lab == std::string::npos) continue;
-        markers.push_back(
-            {static_cast<Time>(field_num(obj, "at", 0)),
-             first_quoted(obj.substr(lab + 8))});
+        long at = 0;
+        dqme::json_field_num(obj, "at", at);
+        markers.push_back({at, first_quoted(obj.substr(lab + 8))});
         pos = end;
       }
       break;  // markers close the timeline object
@@ -233,7 +214,9 @@ int render_timeline(const std::string& path) {
 int main(int argc, char** argv) {
   using namespace dqme;
 
-  std::vector<std::string> positional;
+  int n = 4;
+  uint64_t num_cs = 6;
+  uint64_t seed = 1;
   bool json = false;
   std::string json_path;  // empty = stdout
   SpanId only_span = kNoSpan;
@@ -241,87 +224,57 @@ int main(int argc, char** argv) {
   LockId num_locks = 1;
   bool crit = false;
   std::string timeline_path;
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--help" || a == "-h") {
-      usage();
-      return 0;
-    } else if (a == "--json") {
-      json = true;
-    } else if (a.rfind("--json=", 0) == 0) {
-      json = true;
-      json_path = a.substr(7);
-    } else if (a.rfind("--span=", 0) == 0) {
-      only_span = obs::parse_span(a.substr(7));
-      if (only_span == kNoSpan) {
-        std::cerr << "dqme_trace: bad span '" << a.substr(7)
-                  << "' (expected SITE:SEQ or a packed id)\n";
-        return 2;
-      }
-    } else if (a.rfind("--lock=", 0) == 0) {
-      only_lock = static_cast<LockId>(std::atoll(a.substr(7).c_str()));
-      if (only_lock < 0) {
-        std::cerr << "dqme_trace: bad lock id '" << a.substr(7) << "'\n";
-        return 2;
-      }
-    } else if (a.rfind("--locks=", 0) == 0) {
-      num_locks = static_cast<LockId>(std::atoll(a.substr(8).c_str()));
-      if (num_locks < 1) {
-        std::cerr << "dqme_trace: --locks needs a positive count\n";
-        return 2;
-      }
-    } else if (a == "--crit") {
-      crit = true;
-    } else if (a.rfind("--timeline=", 0) == 0) {
-      timeline_path = a.substr(11);
-    } else if (a.rfind("--", 0) == 0) {
-      std::cerr << "dqme_trace: unknown flag '" << a << "'\n";
-      usage();
-      return 2;
-    } else {
-      positional.push_back(a);
-    }
+  flags::Table t(argv[0], "[N] [NUM_CS] [SEED] [options]");
+  t.value("--span", "SITE:SEQ", "show only this request's messages",
+          [&only_span](const std::string& v) {
+            only_span = obs::parse_span(v);
+            if (only_span == kNoSpan)
+              throw flags::UsageError("bad span '" + v +
+                                      "' (expected SITE:SEQ or a packed id)");
+          })
+      .number("--lock", "ID", "show only this lock's messages", only_lock,
+              LockId{0})
+      .number("--locks", "M", "shard the scenario over M locks (default 1)",
+              num_locks, LockId{1})
+      .flag("--crit", "render the slowest (or --span's) critical path",
+            crit)
+      .optional("--json", "PATH",
+                "export a Chrome trace (to stdout without PATH)", json,
+                json_path)
+      .text("--timeline", "FILE",
+            "render a bench/timeline JSON as sparklines\n"
+            "(no simulation)",
+            timeline_path)
+      .epilog("N sites (default 4, at least 2), NUM_CS critical sections\n"
+              "(default 6, at least 1), SEED (default 1)\n");
+  // The positionals come back as leftovers, parsed as strictly as flags.
+  const std::vector<std::string> pos = t.parse_or_exit(argc, argv, true);
+  try {
+    for (size_t i = 0; i < pos.size(); ++i)
+      if (i > 2 || pos[i].rfind("--", 0) == 0)
+        throw flags::UsageError(flags::unknown_argument(pos[i]));
+    if (pos.size() > 0) n = flags::parse_number<int>(pos[0], "N", 2);
+    if (pos.size() > 1)
+      num_cs = flags::parse_number<uint64_t>(pos[1], "NUM_CS", 1);
+    if (pos.size() > 2) seed = flags::parse_number<uint64_t>(pos[2], "SEED");
+  } catch (const flags::UsageError& e) {
+    t.fail(e.what());
   }
   if (!timeline_path.empty()) return render_timeline(timeline_path);
-  if (positional.size() > 3) {
-    usage();
-    return 2;
-  }
-  if (only_lock != kNoLock && only_lock >= num_locks) {
-    std::cerr << "dqme_trace: --lock=" << only_lock << " out of range "
-              << "(run has " << num_locks << " lock"
-              << (num_locks == 1 ? "" : "s") << "; raise --locks)\n";
-    return 2;
-  }
-  const int n = !positional.empty() ? std::atoi(positional[0].c_str()) : 4;
-  const uint64_t num_cs =
-      positional.size() > 1 ? std::strtoull(positional[1].c_str(), nullptr, 10)
-                            : 6;
-  const uint64_t seed =
-      positional.size() > 2 ? std::strtoull(positional[2].c_str(), nullptr, 10)
-                            : 1;
-  if (n < 2) {
-    std::cerr << "N must be >= 2\n";
-    return 2;
-  }
+  if (only_lock != kNoLock && only_lock >= num_locks)
+    t.fail("--lock=" + std::to_string(only_lock) + " out of range (run has " +
+           std::to_string(num_locks) + " lock" + (num_locks == 1 ? "" : "s") +
+           "; raise --locks)");
 
   sim::Simulator sim;
   net::Network net(sim, n, std::make_unique<net::ConstantDelay>(1000), seed);
   net::TraceRecorder trace(net);
   obs::SpanRecorder spans(net);
-  auto quorums = quorum::make_quorum_system("grid", n);
-
-  std::vector<std::unique_ptr<core::CaoSinghalSite>> sites;
-  std::vector<mutex::MutexSite*> raw;
-  core::CaoSinghalSite::Options site_opts;
-  site_opts.num_locks = num_locks;
-  for (SiteId i = 0; i < n; ++i) {
-    sites.push_back(
-        std::make_unique<core::CaoSinghalSite>(i, net, *quorums, site_opts));
-    net.attach(i, sites.back().get());
-    spans.attach(*sites.back());
-    raw.push_back(sites.back().get());
-  }
+  mutex::AlgoOptions opts;
+  opts.num_locks = num_locks;
+  const harness::Deployment dep(mutex::Algo::kCaoSinghal, n, "grid", opts,
+                                net);
+  spans.attach_all(dep.sites());
 
   // Annotate CS entries/exits inline with the message flow.
   struct Annotation {
@@ -338,8 +291,8 @@ int main(int argc, char** argv) {
                        static_cast<uint64_t>(n);
   wc.seed = seed;
   wc.num_locks = num_locks;
-  harness::Workload wl(sim, raw, wc, nullptr);
-  for (auto* s : raw) {
+  harness::Workload wl(sim, dep.sites(), wc, nullptr);
+  for (mutex::MutexSite* s : dep.sites()) {
     auto inner = s->on_enter;
     s->on_enter = [&, inner, s](SiteId id, LockId lock) {
       std::string what =
@@ -413,7 +366,7 @@ int main(int argc, char** argv) {
             << "q(i) = quorum of site i:\n";
   for (SiteId i = 0; i < n; ++i) {
     std::cout << "  q(" << i << ") = { ";
-    for (SiteId s : sites[static_cast<size_t>(i)]->req_set())
+    for (SiteId s : dep.quorums()->quorum_for(i))
       std::cout << s << ' ';
     std::cout << "}\n";
   }
