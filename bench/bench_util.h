@@ -51,6 +51,10 @@ struct BenchOptions {
   std::string suite;
 };
 
+// --jobs starts one OS thread per job (at most one per sweep row); more
+// than this is a typo, not a host.
+inline constexpr int kMaxJobs = 256;
+
 // Parses the shared bench flags; exits 2 on bad input. A leftover
 // argument is a typo'd flag — silently running with defaults would
 // masquerade as the requested run — unless the suite parses the remainder
@@ -67,7 +71,8 @@ inline BenchOptions parse_bench_flags(int& argc, char** argv,
   BenchOptions o;
   o.suite = suite;
   flags::Table t(suite);
-  t.number("--jobs", "N", "sweep worker threads (0 = all cores)", o.jobs, 0)
+  t.number("--jobs", "N", "sweep worker threads (0 = all cores)", o.jobs, 0,
+           kMaxJobs)
       .number("--seeds", "K",
               "replications per row (overrides the suite\ndefault)",
               o.seeds, 1)

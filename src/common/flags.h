@@ -8,7 +8,8 @@
 //   --flag                       booleans (a =VALUE is an error)
 //
 // Numbers parse strictly: the whole token, in range for the target type,
-// and at or above the flag's minimum. Malformed or unknown input throws
+// and within the flag's minimum and maximum (a maximum caps flags that
+// start one OS thread per unit). Malformed or unknown input throws
 // UsageError; parse_or_exit turns that into a message and exit status 2,
 // and --help (or -h) into the usage text and exit status 0.
 #pragma once
@@ -32,11 +33,12 @@ class UsageError : public std::runtime_error {
   explicit UsageError(const std::string& what) : std::runtime_error(what) {}
 };
 
-// Parses the whole of `text` as a T no smaller than `min`; throws
-// UsageError naming `what` otherwise. Floating-point values must be finite.
+// Parses the whole of `text` as a T in [min, max]; throws UsageError
+// naming `what` otherwise. Floating-point values must be finite.
 template <class T>
 T parse_number(std::string_view text, std::string_view what,
-               T min = std::numeric_limits<T>::lowest()) {
+               T min = std::numeric_limits<T>::lowest(),
+               T max = std::numeric_limits<T>::max()) {
   T v{};
   const char* end = text.data() + text.size();
   const auto [p, ec] = std::from_chars(text.data(), end, v);
@@ -47,6 +49,8 @@ T parse_number(std::string_view text, std::string_view what,
     os << what << ": '" << text << "' is not a valid number";
   else if (v < min)
     os << what << " must be >= " << +min << ", got " << text;
+  else if (v > max)
+    os << what << " must be <= " << +max << ", got " << text;
   else
     return v;
   throw UsageError(os.str());
@@ -89,13 +93,19 @@ class Table {
   Table& choice(std::string name, std::string metavar, std::string help,
                 std::vector<std::string> names,
                 std::function<void(size_t)> on);
-  // A strictly parsed number no smaller than `min`.
+  // A strictly parsed number in [min, max]; --help prints a maximum.
   template <class T>
   Table& number(std::string name, std::string metavar, std::string help,
-                T& dst, T min = std::numeric_limits<T>::lowest()) {
+                T& dst, T min = std::numeric_limits<T>::lowest(),
+                T max = std::numeric_limits<T>::max()) {
+    if (max != std::numeric_limits<T>::max()) {
+      std::ostringstream os;
+      os << " (at most " << +max << ")";
+      help += os.str();
+    }
     return value(name, std::move(metavar), std::move(help),
-                 [&dst, min, name](const std::string& v) {
-                   dst = parse_number<T>(v, name, min);
+                 [&dst, min, max, name](const std::string& v) {
+                   dst = parse_number<T>(v, name, min, max);
                  });
   }
   // --name or --name=VALUE: sets `given`, and `dst` to VALUE ("" when

@@ -67,7 +67,7 @@ void CaoSinghalSite::begin_request(LockId lock) {
   L.failed = false;
   L.tran_stack.clear();
   L.inq_queue.clear();
-  L.voted.assign(L.req_set);
+  L.voted.assign(L.req_set.size());
   for (SiteId j : L.req_set)
     net().send(id(), j, net::make_request(L.my_req), lock);
 }
@@ -89,7 +89,7 @@ void CaoSinghalSite::handle_reply(const Message& m, LockId lock) {
     note_stale_drop(MsgType::kReply);
     return;
   }
-  const int pos = L.voted.find(m.arbiter);
+  const int pos = L.voted.find(L.req_set, m.arbiter);
   DQME_CHECK_MSG(pos >= 0,
                  "reply for arbiter " << m.arbiter << " not in req_set of "
                                       << id());
@@ -133,7 +133,7 @@ void CaoSinghalSite::handle_inquire(const Message& m, LockId lock) {
 void CaoSinghalSite::process_inquire(LockId lock, SiteId arbiter) {
   Lk& L = lk_[static_cast<size_t>(lock)];
   DQME_CHECK(requesting(lock));
-  const int pos = L.voted.find(arbiter);
+  const int pos = L.voted.find(L.req_set, arbiter);
   DQME_CHECK_MSG(pos >= 0,
                  "inquire from non-arbiter " << arbiter << " at " << id());
   if (L.voted.test(static_cast<size_t>(pos)) && L.failed) {
@@ -182,7 +182,7 @@ void CaoSinghalSite::handle_transfer(const Message& m, LockId lock) {
     note_stale_drop(MsgType::kTransfer);
     return;
   }
-  const int pos = L.voted.find(m.arbiter);
+  const int pos = L.voted.find(L.req_set, m.arbiter);
   DQME_CHECK(pos >= 0);
   if (!L.voted.test(static_cast<size_t>(pos))) {
     // Outdated (we yielded this permission) or early (the forwarded reply
@@ -497,7 +497,7 @@ void CaoSinghalSite::debug_dump(std::ostream& os, LockId lock) const {
      << " my_req=" << L.my_req << " failed=" << L.failed;
   os << " voted={";
   for (size_t i = 0; i < L.voted.size(); ++i)
-    os << L.voted.member(i) << ':' << L.voted.test(i) << ' ';
+    os << L.req_set[i] << ':' << L.voted.test(i) << ' ';
   os << "} inq_q={";
   for (SiteId a : L.inq_queue) os << a << ' ';
   os << "} tran_stack={";

@@ -5,6 +5,15 @@
 
 namespace dqme::harness {
 
+void Backlog::grow() {
+  DQME_CHECK(ring_.size() < (size_t{1} << 31));
+  std::vector<Time> next(std::max<size_t>(2, 2 * ring_.size()));
+  for (uint32_t i = 0; i < size_; ++i)
+    next[i] = ring_[(head_ + i) & (ring_.size() - 1)];
+  ring_.swap(next);
+  head_ = 0;
+}
+
 Workload::Workload(sim::Simulator& sim, std::vector<mutex::MutexSite*> sites,
                    Config config, Metrics* metrics)
     : sim_(sim), cfg_(config), rng_(config.seed), metrics_(metrics) {
@@ -62,7 +71,7 @@ void Workload::start() {
         const Time stagger = rng_.uniform_int(0, 100);
         sim_.schedule_after(stagger, [this, id, lock] {
           if (!draining_ && !sites_[static_cast<size_t>(id)].halted)
-            issue(id, lock, sim_.now());
+            demand(id, lock);
         });
       }
     } else {
@@ -86,8 +95,7 @@ void Workload::halt_site(SiteId id) {
       ++demands_aborted_;
       sl.busy = false;
     }
-    demands_aborted_ += sl.backlog.size();
-    sl.backlog.clear();
+    demands_aborted_ += sl.backlog.clear();
   }
 }
 
@@ -106,14 +114,20 @@ void Workload::arrival(SiteId id) {
     if (s.halted || draining_) return;
     // The lock draw happens only with a real lock table (num_locks > 1),
     // so single-lock runs consume the exact historical rng_ sequence.
-    const LockId lock = pick_lock();
-    Slot& sl = slot(id, lock);
-    if (sl.busy)
-      sl.backlog.push_back(sim_.now());
-    else
-      issue(id, lock, sim_.now());
+    demand(id, pick_lock());
     arrival(id);
   });
+}
+
+void Workload::demand(SiteId id, LockId lock) {
+  ++demands_issued_;
+  Slot& sl = slot(id, lock);
+  // Queue behind the open request and behind every demand already queued:
+  // an arrival at the instant the slot frees must not overtake them.
+  if (sl.busy || !sl.backlog.empty())
+    sl.backlog.push(sim_.now());
+  else
+    issue(id, lock, sim_.now());
 }
 
 void Workload::issue(SiteId id, LockId lock, Time demanded) {
@@ -122,7 +136,6 @@ void Workload::issue(SiteId id, LockId lock, Time demanded) {
   sl.busy = true;
   sl.demanded = demanded;
   sl.requested = sim_.now();
-  ++demands_issued_;
   sites_[static_cast<size_t>(id)].site->request_cs(lock);
 }
 
@@ -162,10 +175,7 @@ void Workload::aborted(SiteId id, LockId lock) {
   // that stalled too deliver their own abort. Backlogged demands will
   // never be issued: write them off now.
   st.halted = true;
-  for (Slot& other : st.slots) {
-    demands_aborted_ += other.backlog.size();
-    other.backlog.clear();
-  }
+  for (Slot& other : st.slots) demands_aborted_ += other.backlog.clear();
 }
 
 void Workload::next_demand(SiteId id, LockId lock) {
@@ -180,23 +190,24 @@ void Workload::next_demand(SiteId id, LockId lock) {
       sim_.schedule_after(cfg_.think_time, [this, id, lock] {
         SiteState& s = sites_[static_cast<size_t>(id)];
         if (!draining_ && !s.halted && !slot(id, lock).busy)
-          issue(id, lock, sim_.now());
+          demand(id, lock);
       });
     } else {
       // Re-request from a fresh event, not from inside release_cs().
       sim_.schedule_after(0, [this, id, lock] {
         SiteState& s = sites_[static_cast<size_t>(id)];
         if (!draining_ && !s.halted && !slot(id, lock).busy)
-          issue(id, lock, sim_.now());
+          demand(id, lock);
       });
     }
   } else if (!slot(id, lock).backlog.empty()) {
-    Slot& sl = slot(id, lock);
-    const Time demanded = sl.backlog.front();
-    sl.backlog.pop_front();
-    sim_.schedule_after(0, [this, id, lock, demanded] {
-      SiteState& s = sites_[static_cast<size_t>(id)];
-      if (!s.halted && !slot(id, lock).busy) issue(id, lock, demanded);
+    // The oldest queued demand is issued from a fresh event and stays
+    // queued until then, so a halt in between writes it off with the rest.
+    sim_.schedule_after(0, [this, id, lock] {
+      Slot& sl = slot(id, lock);
+      if (!sites_[static_cast<size_t>(id)].halted && !sl.busy &&
+          !sl.backlog.empty())
+        issue(id, lock, sl.backlog.pop());
     });
   }
 }

@@ -14,20 +14,64 @@
 // target lock per demand from a Zipf distribution over LockIds (skew 0 =
 // uniform, lock 0 always the most popular). Demands queue per (site, lock)
 // — a site executes each lock's requests sequentially, but distinct locks
-// proceed concurrently.
+// proceed concurrently. A (site, lock) slot is 64 bytes and owns no heap
+// block until a demand first queues behind its open request, so a 4096-lock
+// table over 25 sites costs ~6.5 MB of workload state.
 //
 // The workload is also the bookkeeper: it stamps demand/request/enter/exit
 // times into Metrics and knows how many demands are still in flight, which
 // is what the deadlock/starvation checks (Theorems 2/3) assert on.
 #pragma once
 
-#include <deque>
+#include <cstdint>
+#include <vector>
 
 #include "common/rng.h"
 #include "harness/metrics.h"
 #include "mutex/mutex_site.h"
 
 namespace dqme::harness {
+
+// FIFO of the arrival times of the demands queued on one (site, lock)
+// slot (open loop). A ring over a power-of-two vector: it owns no heap
+// block until the first push, keeps its capacity across drains, and
+// doubles only when full. A backlog that never empties (an overloaded open
+// loop) therefore reuses consumed slots, and capacity stays within twice
+// the peak live backlog.
+class Backlog {
+ public:
+  bool empty() const { return size_ == 0; }
+  size_t size() const { return size_; }
+  size_t capacity() const { return ring_.size(); }
+
+  void push(Time demanded) {
+    if (size_ == ring_.size()) grow();
+    ring_[(head_ + size_) & (ring_.size() - 1)] = demanded;
+    ++size_;
+  }
+  // Removes and returns the oldest queued demand.
+  Time pop() {
+    DQME_CHECK(size_ > 0);
+    const Time demanded = ring_[head_];
+    head_ = (head_ + 1) & (ring_.size() - 1);
+    --size_;
+    return demanded;
+  }
+  // Drops every queued demand; returns how many there were.
+  size_t clear() {
+    const size_t n = size_;
+    head_ = 0;
+    size_ = 0;
+    return n;
+  }
+
+ private:
+  void grow();
+
+  std::vector<Time> ring_;  // size 0 or a power of two
+  uint32_t head_ = 0;       // index of the oldest demand
+  uint32_t size_ = 0;
+};
 
 class Workload {
  public:
@@ -62,16 +106,24 @@ class Workload {
   // Stops creating demand; already-issued demands run to completion.
   void drain();
 
-  // Stops driving a site (crash experiments). Its in-flight demand is
-  // written off.
+  // Stops driving a site (crash experiments). Its in-flight demands and
+  // every demand still queued behind them are written off.
   void halt_site(SiteId id);
 
+  // Demands created so far; an open-loop arrival counts when it arrives,
+  // whether it is issued at once or queued behind an open request.
   uint64_t demands_issued() const { return demands_issued_; }
   uint64_t demands_completed() const { return demands_completed_; }
   uint64_t demands_aborted() const { return demands_aborted_; }
   // Demands issued but neither completed nor written off.
   uint64_t demands_outstanding() const {
     return demands_issued_ - demands_completed_ - demands_aborted_;
+  }
+  // Open loop: the demands queued behind (site, lock)'s open request.
+  const Backlog& backlog(SiteId id, LockId lock) const {
+    return sites_[static_cast<size_t>(id)]
+        .slots[static_cast<size_t>(lock)]
+        .backlog;
   }
 
  private:
@@ -80,7 +132,7 @@ class Workload {
     bool busy = false;           // a demand is requesting or in CS
     Time demanded = 0;           // current demand's arrival time
     Time requested = 0;
-    std::deque<Time> backlog;    // open loop: queued demand arrival times
+    Backlog backlog;             // open loop: queued demand arrival times
     uint64_t completed = 0;
   };
   struct SiteState {
@@ -96,6 +148,10 @@ class Workload {
 
   void arrival(SiteId id);           // open loop Poisson process
   LockId pick_lock();                // Zipf draw (num_locks > 1 only)
+  // A new demand arrives: counted, then issued, or queued while the slot
+  // is busy or holds older demands.
+  void demand(SiteId id, LockId lock);
+  // Hands a demand that arrived at `demanded` to the site.
   void issue(SiteId id, LockId lock, Time demanded);
   void entered(SiteId id, LockId lock);
   void exited(SiteId id, LockId lock);

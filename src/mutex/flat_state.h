@@ -1,14 +1,17 @@
-// Flat per-request protocol state for the quorum algorithms.
+// Flat per-request protocol state for the permission-based algorithms.
 //
-// A requester tracks K ~ sqrt(N) arbiters and an arbiter queues a handful
-// of waiting requests; at those sizes node-based containers
-// (std::map<SiteId,bool>, std::set<ReqId>) are pure overhead — one heap
-// allocation per key, pointer-chasing on every lookup, and a full tree
-// teardown per request. VoteMap and ReqQueue keep the exact semantics the
-// protocols relied on (membership checks, priority order, head identity)
-// in contiguous storage whose capacity survives across requests, so the
-// steady-state hot path performs no allocation. Equivalence with the
-// node-based originals is asserted in tests/flat_state_test.cpp.
+// A requester tracks K ~ sqrt(N) arbiters and an arbiter (or a Lamport
+// replica) queues a handful of waiting requests; at those sizes node-based
+// containers (std::map<SiteId,bool>, std::set<ReqId>) are pure overhead —
+// one heap allocation per key, pointer-chasing on every lookup, and a full
+// tree teardown per request. VoteMap and ReqQueue keep the exact semantics
+// the protocols relied on (membership checks, priority order, head
+// identity) in contiguous storage whose capacity survives across requests,
+// so the steady-state hot path performs no allocation
+// (tests/alloc_test.cpp counts it). VoteMap holds grant bits only: the
+// quorum list stays in the owner's req_set, one copy per (site, lock).
+// Equivalence with the node-based originals is asserted in
+// tests/flat_state_test.cpp.
 #pragma once
 
 #include <algorithm>
@@ -22,37 +25,37 @@
 namespace dqme::mutex {
 
 // replied[] of paper §3.1: which members of the current request's quorum
-// have granted their permission. Members are stored in quorum order (dense
-// position aligned with req_set_); lookups scan K contiguous ids, which
-// beats a map walk at any realistic quorum size.
+// have granted their permission. Grants are stored by dense position in
+// the owner's req_set, the quorum the request went to; the member ids are
+// not copied, so a (site, lock) keeps one quorum list, and find() scans
+// the owner's K contiguous ids, which beats a map walk at any realistic
+// quorum size.
 class VoteMap {
  public:
-  // Starts a request: track `members`, none granted. Capacity is retained
-  // across requests; §6 recovery re-assigns with the re-formed quorum and
-  // the positions remap automatically.
-  void assign(const std::vector<SiteId>& members) {
-    members_.assign(members.begin(), members.end());
-    granted_.assign(members_.size(), 0);
+  // Starts a request over a quorum of `k` members, none granted. Capacity
+  // is retained across requests; §6 recovery re-assigns with the re-formed
+  // quorum's size and the positions remap with its req_set.
+  void assign(size_t k) {
+    granted_.assign(k, 0);
     count_ = 0;
   }
 
   void clear() {
-    members_.clear();
     granted_.clear();
     count_ = 0;
   }
 
-  bool empty() const { return members_.empty(); }
-  size_t size() const { return members_.size(); }
+  size_t size() const { return granted_.size(); }
 
-  // Dense position of `arbiter`, or -1 when it is not a quorum member.
-  int find(SiteId arbiter) const {
-    for (size_t i = 0; i < members_.size(); ++i)
-      if (members_[i] == arbiter) return static_cast<int>(i);
+  // Dense position of `arbiter` in `members` — the req_set this map was
+  // assigned for — or -1 when it is not a quorum member.
+  int find(const std::vector<SiteId>& members, SiteId arbiter) const {
+    DQME_CHECK(members.size() == granted_.size());
+    for (size_t i = 0; i < members.size(); ++i)
+      if (members[i] == arbiter) return static_cast<int>(i);
     return -1;
   }
 
-  SiteId member(size_t pos) const { return members_[pos]; }
   bool test(size_t pos) const { return granted_[pos] != 0; }
 
   void grant(size_t pos) {
@@ -71,10 +74,9 @@ class VoteMap {
 
   // True when every member has granted (trivially true when empty, like
   // iterating an empty map).
-  bool all() const { return count_ == members_.size(); }
+  bool all() const { return count_ == granted_.size(); }
 
  private:
-  std::vector<SiteId> members_;
   std::vector<uint8_t> granted_;
   size_t count_ = 0;
 };
@@ -116,6 +118,12 @@ class ReqQueue {
   void erase(const_iterator it) {
     DQME_CHECK(begin() <= it && it < end());
     v_.erase(v_.begin() + (it - begin()));
+  }
+
+  // Set semantics: erasing an absent element is a no-op.
+  void erase(const ReqId& r) {
+    const auto it = find(r);
+    if (it != end()) erase(it);
   }
 
   void pop_front() {

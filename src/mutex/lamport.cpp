@@ -68,7 +68,7 @@ void LamportSite::on_message(const Message& m, LockId lock) {
 void LamportSite::try_enter(LockId lock) {
   Lk& L = lk_[static_cast<size_t>(lock)];
   if (!requesting(lock) || L.replies_needed > 0) return;
-  if (!L.queue.empty() && *L.queue.begin() == L.my_req) enter_cs(lock);
+  if (!L.queue.empty() && L.queue.front() == L.my_req) enter_cs(lock);
 }
 
 void LamportSite::copy_protocol_state(const MutexSite& other) {

@@ -8,8 +8,7 @@
 // replies, and Lamport clock).
 #pragma once
 
-#include <set>
-
+#include "mutex/flat_state.h"
 #include "mutex/mutex_site.h"
 
 namespace dqme::mutex {
@@ -24,7 +23,7 @@ class LamportSite final : public MutexSite {
   // Per-lock protocol state, indexed by dense LockId.
   struct Lk {
     ReqId my_req;
-    std::set<ReqId> queue;       // replicated request queue (priority order)
+    ReqQueue queue;              // replicated request queue (priority order)
     std::vector<bool> replied;   // reply received from each other site
     int replies_needed = 0;
   };

@@ -29,7 +29,7 @@ void MaekawaSite::do_request(LockId lock) {
   open_span(lock, span_of(L.my_req));
   L.failed = false;
   L.pending_inquires.clear();
-  L.voted.assign(L.req_set);
+  L.voted.assign(L.req_set.size());
   for (SiteId j : L.req_set)
     net().send(id(), j, net::make_request(L.my_req), lock);
 }
@@ -66,7 +66,7 @@ void MaekawaSite::handle_reply(const Message& m, LockId lock) {
     note_stale_drop();
     return;
   }
-  const int pos = L.voted.find(m.src);
+  const int pos = L.voted.find(L.req_set, m.src);
   DQME_CHECK_MSG(pos >= 0, "reply from non-arbiter " << m.src);
   L.voted.grant(static_cast<size_t>(pos));
   // Maekawa replies always relay through the arbiter: release -> reply,
@@ -100,7 +100,7 @@ void MaekawaSite::handle_inquire(const Message& m, LockId lock) {
 void MaekawaSite::answer_inquire(LockId lock, SiteId arbiter) {
   Lk& L = lk_[static_cast<size_t>(lock)];
   DQME_CHECK(requesting(lock));
-  const int pos = L.voted.find(arbiter);
+  const int pos = L.voted.find(L.req_set, arbiter);
   DQME_CHECK_MSG(pos >= 0, "inquire from non-arbiter " << arbiter);
   if (!L.voted.test(static_cast<size_t>(pos))) {
     // Channels are FIFO and replies come only from the arbiter itself in

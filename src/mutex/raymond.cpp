@@ -32,7 +32,7 @@ void RaymondSite::assign_privilege(LockId lock) {
   Lk& L = lk_[static_cast<size_t>(lock)];
   if (L.holder != id() || in_cs(lock) || L.request_q.empty()) return;
   SiteId next = L.request_q.front();
-  L.request_q.pop_front();
+  L.request_q.erase(L.request_q.begin());
   L.asked = false;
   if (next == id()) {
     enter_cs(lock);

@@ -8,7 +8,7 @@
 // Each lock in the table has its own token flowing over the shared tree.
 #pragma once
 
-#include <deque>
+#include <vector>
 
 #include "mutex/mutex_site.h"
 
@@ -32,7 +32,10 @@ class RaymondSite final : public MutexSite {
     SiteId holder = kNoSite;  // neighbour in the token's direction, or self
     bool asked = false;       // sent a request toward holder already
     SeqNum seq = 0;           // local request counter (span ids only)
-    std::deque<SiteId> request_q;  // neighbours (or self) waiting for token
+    // Neighbours (or self) waiting for the token, oldest first: at most
+    // three neighbours plus self, so a vector's front erase is a tiny
+    // memmove and its capacity survives across tenures.
+    std::vector<SiteId> request_q;
   };
 
   void do_request(LockId lock) override;

@@ -55,7 +55,7 @@ void SuzukiKasamiSite::pass_token_if_due(LockId lock) {
   Lk& L = lk_[static_cast<size_t>(lock)];
   if (!L.has_token || in_cs(lock) || L.token.queue.empty()) return;
   SiteId next = L.token.queue.front();
-  L.token.queue.pop_front();
+  L.token.queue.erase(L.token.queue.begin());
   send_token(lock, next);
 }
 

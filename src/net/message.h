@@ -30,7 +30,6 @@
 // or superseded requests instead of relying solely on channel FIFO order.
 #pragma once
 
-#include <deque>
 #include <ostream>
 #include <string_view>
 #include <type_traits>
@@ -64,10 +63,13 @@ inline constexpr int kNumMsgTypes = 14;
 std::string_view to_string(MsgType t);
 
 // Token state shipped by token-based baselines (Suzuki-Kasami). Exactly one
-// site holds the token at a time; ownership moves with the message.
+// site holds the token at a time; ownership moves with the message. Both
+// fields are vectors because moving one leaves the source empty without
+// touching the heap, so a handoff allocates nothing; a std::deque
+// allocates a map and a node for its moved-from side.
 struct TokenPayload {
-  std::vector<SeqNum> ln;    // LN[j]: seq number of j's last served request
-  std::deque<SiteId> queue;  // sites waiting for the token
+  std::vector<SeqNum> ln;      // LN[j]: seq number of j's last served request
+  std::vector<SiteId> queue;   // sites waiting for the token, oldest first
 };
 
 // Replicated-data fields (§7 extension layer).

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <sstream>
+#include <utility>
 
 #include "common/check.h"
 
@@ -57,7 +58,7 @@ Quorum GridQuorum::quorum_for(SiteId id) const {
   DQME_CHECK(0 <= id && id < n_);
   auto q = cross(id / cols_, id % cols_, nullptr);
   DQME_CHECK(q.has_value());
-  return *q;
+  return std::move(*q);
 }
 
 std::optional<Quorum> GridQuorum::quorum_for_alive(

@@ -1,7 +1,6 @@
 #include "rt/driver.h"
 
 #include <chrono>
-#include <deque>
 #include <memory>
 
 #include "common/check.h"
@@ -38,7 +37,12 @@ FreeRunResult run_free(const FreeRunConfig& cfg) {
   struct SiteDrv {
     std::vector<LockId> rotation;  // per-site shuffled lock order
     size_t next = 0;
-    std::deque<LockId> entered;  // locks entered, awaiting top-level release
+    // Locks entered, awaiting top-level release. poll() swaps it with
+    // `releasing` and drains that, so an entry a release triggers lands in
+    // `entered` for the next poll; both keep their capacity, so the
+    // handoff path allocates nothing.
+    std::vector<LockId> entered;
+    std::vector<LockId> releasing;
     int in_service = 0;
   };
   std::vector<SiteDrv> drv(static_cast<size_t>(cfg.n));
@@ -98,9 +102,8 @@ FreeRunResult run_free(const FreeRunConfig& cfg) {
         rtc.request_stop();
       });
     }
-    while (!d.entered.empty()) {
-      const LockId lock = d.entered.front();
-      d.entered.pop_front();
+    d.releasing.swap(d.entered);
+    for (const LockId lock : d.releasing) {
       if (cfg.check) probe.exit(lock, s);
       site.release_cs(lock);
       --d.in_service;
@@ -108,6 +111,7 @@ FreeRunResult run_free(const FreeRunConfig& cfg) {
           cfg.target_entries)
         stop_issuing.store(true, std::memory_order_release);
     }
+    d.releasing.clear();
     if (!stop_issuing.load(std::memory_order_acquire)) {
       // Keep the pipeline full: scan the rotation for idle locks. One full
       // sweep max per poll, so a site saturated on every lock backs off.

@@ -90,7 +90,8 @@ HELP = [(0, "tools/%s --help" % t) for t in TOOLS] + \
 
 # Malformed or out-of-range input: always exit 2, never abort or hang.
 # Range checks use small values only (rt starts a thread per site and the
-# simulated network allocates n^2 channel slots).
+# simulated network allocates n^2 channel slots); a ceiling is probed with
+# ceiling+1 only.
 BAD = [
     "tools/dqme_sim --n -3",
     "tools/dqme_sim --n 0",
@@ -113,6 +114,9 @@ BAD = [
     "tools/dqme_sim --seed 99999999999999999999999",
     "tools/dqme_explore --workers abc",
     "tools/dqme_explore --workers 0",
+    "tools/dqme_explore --workers 257",
+    "tools/dqme_sim --backend rt --n 65",
+    "bench/e1_table1 --jobs=257",
     "tools/dqme_explore --mutate bogus",
     "tools/dqme_explore --preset bogus",
     "tools/dqme_sim --bogus",

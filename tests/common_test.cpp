@@ -221,6 +221,33 @@ TEST(Flags, NumbersParseStrictly) {
   EXPECT_EQ(flags::parse_number<int>("-3", "x"), -3);
 }
 
+// A maximum caps flags that start one OS thread per unit (dqme_explore
+// --workers, dqme_sim --backend rt --n, the benches' --jobs): checked at
+// parse time, so a huge value is rejected before any thread starts.
+TEST(Flags, NumbersRespectAMaximumAndHelpPrintsIt) {
+  int workers = 1;
+  flags::Table t("prog");
+  t.number("--workers", "K", "worker threads", workers, 1, 256);
+  parse(t, {"--workers", "256"});
+  EXPECT_EQ(workers, 256);
+  EXPECT_THROW(parse(t, {"--workers", "257"}), flags::UsageError);
+  EXPECT_THROW(parse(t, {"--workers=2147483647"}), flags::UsageError);
+  EXPECT_EQ(workers, 256);  // a rejected value leaves the target alone
+  EXPECT_THROW(parse(t, {"--workers=0"}), flags::UsageError);
+  std::ostringstream os;
+  t.usage(os);
+  EXPECT_NE(os.str().find("worker threads (at most 256)"), std::string::npos)
+      << os.str();
+  EXPECT_EQ(flags::parse_number<double>("0.5", "x", 0.0, 1.0), 0.5);
+  EXPECT_THROW(flags::parse_number<double>("1.5", "x", 0.0, 1.0),
+               flags::UsageError);
+  // Without a maximum, help carries no bound.
+  FlagFixture f;
+  std::ostringstream plain;
+  f.t.usage(plain);
+  EXPECT_EQ(plain.str().find("at most"), std::string::npos);
+}
+
 TEST(Flags, ChoiceAcceptsOnlyItsNames) {
   size_t picked = 9;
   flags::Table t("prog");

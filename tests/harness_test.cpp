@@ -2,8 +2,10 @@
 // workload drivers' accounting, and the table printer.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 
+#include "core/failure_detector.h"
 #include "harness/deployment.h"
 #include "harness/experiment.h"
 #include "net/network.h"
@@ -243,6 +245,167 @@ TEST(Workload, OpenLoopArrivalRateIsRespected) {
   wl2.drain();
   sim.run();
   EXPECT_EQ(wl2.demands_outstanding(), 0u);
+}
+
+// -------------------------------------------------------------- backlog
+
+TEST(Backlog, FifoAcrossPartialDrainsAndWrapAround) {
+  Backlog b;
+  EXPECT_EQ(b.capacity(), 0u);  // no heap block until the first push
+  Rng rng(5);
+  Time next_in = 0;
+  Time next_out = 0;
+  size_t peak = 0;
+  for (int round = 0; round < 2000; ++round) {
+    for (int64_t k = rng.uniform_int(0, 4); k > 0; --k) b.push(next_in++);
+    peak = std::max(peak, b.size());
+    for (int64_t k = rng.uniform_int(0, 4); k > 0 && !b.empty(); --k)
+      ASSERT_EQ(b.pop(), next_out++);
+    ASSERT_EQ(b.size(), static_cast<size_t>(next_in - next_out));
+  }
+  EXPECT_LE(b.capacity(), 2 * peak);
+  // clear() reports exactly the not-yet-issued remainder and keeps the
+  // capacity for the next burst.
+  const size_t cap = b.capacity();
+  const size_t left = b.size();
+  EXPECT_EQ(b.clear(), left);
+  EXPECT_TRUE(b.empty());
+  EXPECT_EQ(b.capacity(), cap);
+  b.push(42);
+  EXPECT_EQ(b.pop(), 42);
+  EXPECT_EQ(b.capacity(), cap);
+}
+
+TEST(Backlog, NeverEmptyingQueueReusesConsumedSlots) {
+  // An overloaded open loop: the queue oscillates between 100 and 200
+  // entries for 100k pushes and never drains.
+  Backlog b;
+  Time next_out = 0;
+  Time t = 0;
+  for (; t < 200; ++t) b.push(t);
+  while (t < 100'000) {
+    while (b.size() > 100) ASSERT_EQ(b.pop(), next_out++);
+    while (b.size() < 200) b.push(t++);
+  }
+  EXPECT_LE(b.capacity(), 2u * 200);
+}
+
+// Site 0 alone demands lock 0 of a 4-site Cao-Singhal grid (K = 3, T =
+// 10, E = 100: one CS takes ~120 ticks), as an open loop at `rate`.
+struct OpenRig {
+  explicit OpenRig(double rate, bool fault_tolerant = false)
+      : net(sim, 4, std::make_unique<net::ConstantDelay>(10), 2),
+        dep(mutex::Algo::kCaoSinghal, 4, "grid", options(fault_tolerant),
+            net),
+        metrics(net),
+        wl(sim, dep.sites(), config(rate), &metrics),
+        detector(net, 20, 0, 3) {
+    for (SiteId id = 0; id < 4; ++id) detector.attach(id, &dep.site(id));
+  }
+  static mutex::AlgoOptions options(bool fault_tolerant) {
+    mutex::AlgoOptions o;
+    o.fault_tolerant = fault_tolerant;
+    return o;
+  }
+  static Workload::Config config(double rate) {
+    Workload::Config c;
+    c.mode = Workload::Config::Mode::kOpen;
+    c.arrival_rate = rate;
+    c.site_weights = {1, 0, 0, 0};
+    c.cs_duration = 100;
+    return c;
+  }
+  const Backlog& backlog() const { return wl.backlog(0, kLock0); }
+  // Steps until `pred` holds, tracking the deepest backlog seen.
+  template <class Pred>
+  void step_until(Pred pred) {
+    while (!pred()) {
+      ASSERT_TRUE(sim.step());
+      peak = std::max(peak, backlog().size());
+    }
+  }
+  void expect_exact_accounting() const {
+    EXPECT_EQ(wl.demands_issued(),
+              wl.demands_completed() + wl.demands_aborted());
+    EXPECT_EQ(wl.demands_outstanding(), 0u);
+    EXPECT_TRUE(backlog().empty());
+  }
+
+  sim::Simulator sim;
+  net::Network net;
+  Deployment dep;
+  Metrics metrics;
+  Workload wl;
+  core::FailureDetector detector;
+  size_t peak = 0;
+};
+
+TEST(Workload, OpenLoopBacklogIssuesInArrivalOrder) {
+  OpenRig rig(1.0 / 130);  // ~90% utilised: the queue fills and drains
+  rig.wl.start();
+  // Each window holds exactly one completed CS, so its mean response time
+  // (exit - arrival) recovers that demand's arrival time.
+  rig.metrics.reset(0);
+  std::vector<Time> arrivals;
+  while (arrivals.size() < 2000) {
+    const uint64_t done = rig.wl.demands_completed();
+    rig.step_until([&] { return rig.wl.demands_completed() > done; });
+    const Summary s = rig.metrics.summarize(rig.sim.now());
+    ASSERT_EQ(s.completed, 1u);
+    arrivals.push_back(rig.sim.now() - static_cast<Time>(s.response_mean));
+    rig.metrics.reset(rig.sim.now());
+  }
+  EXPECT_GE(rig.peak, 4u);  // deep enough that any other order would show
+  EXPECT_TRUE(std::is_sorted(arrivals.begin(), arrivals.end()));
+  rig.wl.drain();
+  rig.sim.run();
+  rig.expect_exact_accounting();
+}
+
+TEST(Workload, SustainedBacklogKeepsSlotCapacityBounded) {
+  OpenRig rig(1.0 / 115);  // arrivals outpace service: never drains
+  rig.wl.start();
+  rig.step_until([&] { return rig.wl.demands_completed() >= 5000; });
+  EXPECT_GT(rig.backlog().size(), 0u);
+  // Consumed slots are reused: capacity tracks the peak live backlog, not
+  // the thousands of demands that went through the slot.
+  EXPECT_LE(rig.backlog().capacity(), 2 * rig.peak);
+  EXPECT_LT(4 * rig.backlog().capacity(), rig.wl.demands_issued());
+  rig.wl.drain();
+  rig.sim.run();
+  rig.expect_exact_accounting();
+}
+
+TEST(Workload, HaltSiteMidBacklogWritesOffTheRemainder) {
+  OpenRig rig(1.0 / 100);
+  rig.wl.start();
+  rig.step_until([&] { return rig.backlog().size() >= 5; });
+  const size_t queued = rig.backlog().size();
+  const uint64_t aborted = rig.wl.demands_aborted();
+  rig.wl.halt_site(0);
+  // The open demand and every demand queued behind it.
+  EXPECT_EQ(rig.wl.demands_aborted(), aborted + 1 + queued);
+  rig.wl.drain();
+  rig.sim.run();
+  rig.expect_exact_accounting();
+}
+
+// §6: sites 1 and 2 crash, leaving no fully live row of the 2x2 grid, so
+// site 0 cannot form a quorum and aborts with a backlog queued.
+TEST(Workload, StallAbortWritesOffTheBacklog) {
+  OpenRig rig(1.0 / 100, /*fault_tolerant=*/true);
+  rig.wl.start();
+  rig.step_until([&] { return rig.backlog().size() >= 5; });
+  const size_t queued = rig.backlog().size();
+  for (SiteId victim : {1, 2}) {
+    rig.wl.halt_site(victim);
+    rig.detector.crash(victim);
+  }
+  rig.sim.run();
+  const auto& site0 = static_cast<const core::CaoSinghalSite&>(rig.dep.site(0));
+  EXPECT_TRUE(site0.stalled());
+  EXPECT_GE(rig.wl.demands_aborted(), 1 + queued);
+  rig.expect_exact_accounting();
 }
 
 // ------------------------------------------------------------ experiment

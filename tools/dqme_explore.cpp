@@ -39,6 +39,10 @@ namespace {
 
 using namespace dqme;
 
+// Each worker is an OS thread; beyond this the host runs out of threads
+// long before the search gets faster.
+constexpr int kMaxWorkers = 256;
+
 struct Options {
   verify::ExplorerConfig explorer;
   int workers = 1;
@@ -101,7 +105,7 @@ flags::Table explore_flags(const char* argv0, Options& opt) {
       .number("--workers", "K",
               "parallel exploration with K worker threads\n"
               "(default 1; counts stay byte-identical)",
-              opt.workers, 1)
+              opt.workers, 1, kMaxWorkers)
       .number("--split-depth", "D",
               "task-split depth for --workers (default 2)", opt.split_depth)
       .flag("--no-por", "naive DFS, no reduction at all",

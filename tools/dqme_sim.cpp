@@ -27,6 +27,10 @@ namespace {
 
 using namespace dqme;
 
+// The rt backend starts a pump thread per site and n^2 rings of 1,024
+// slots: n = 64 is already 4,096 rings.
+constexpr int kMaxRtSites = 64;
+
 void add_backend_flag(flags::Table& t, bool& rt) {
   t.choice("--backend", "B",
            "sim (discrete-event, default) | rt (real\n"
@@ -91,7 +95,7 @@ flags::Table rt_flags(const char* argv0, rt::FreeRunConfig& cfg, bool& rt) {
   flags::Table t(argv0);
   add_backend_flag(t, rt);
   harness::add_algo_flag(t, cfg.algo);
-  t.number("--n", "N", "number of sites (default 25)", cfg.n, 2)
+  t.number("--n", "N", "number of sites (default 25)", cfg.n, 2, kMaxRtSites)
       .text("--quorum", "KIND", "quorum construction (default grid)",
             cfg.quorum)
       .number("--locks", "M", "lock-table size (default 1)", cfg.num_locks,
@@ -235,7 +239,9 @@ int main(int argc, char** argv) try {
   std::ostringstream rt_help;
   rt_help << "rt backend only (--backend rt):\n";
   rt.entries(rt_help, &sim);
-  rt_help << "(simulator-shape flags — --t, --delay, --load, --warmup, ... —\n"
+  rt_help << "(--n is at most " << kMaxRtSites
+          << " under --backend rt: a pump thread per site)\n"
+             "(simulator-shape flags — --t, --delay, --load, --warmup, ... —\n"
              " are rejected under --backend rt rather than silently ignored)\n"
              "For a sim run under the online invariant checker (CS exclusion,\n"
              "per-arbiter permission ledger, transfer conservation, FIFO,\n"
