@@ -1,8 +1,9 @@
 // Chrome trace exporter tests: the emitted JSON must be syntactically
 // valid, every CS "B" must have its matching "E" on the same lane, the
 // paper's proxy-forwarded reply must appear as a distinct flow arrow, and
-// the whole export must be byte-stable (golden file — regenerate with
-// DQME_REGEN_GOLDEN=1 after an intentional format change).
+// the whole export must be byte-stable (golden files — regenerate with
+// DQME_REGEN_GOLDEN=1 after an intentional format change). The explorer's
+// lost-transfer counterexample pins the flight-recorder dump too.
 #include <gtest/gtest.h>
 
 #include <cctype>
@@ -21,6 +22,7 @@
 #include "obs/span.h"
 #include "quorum/factory.h"
 #include "sim/simulator.h"
+#include "verify/explorer.h"
 
 namespace dqme::obs {
 namespace {
@@ -280,14 +282,15 @@ TEST(ChromeTrace, SpanFilterKeepsOnlyThatSpansEvents) {
   }
 }
 
-TEST(ChromeTrace, MatchesGoldenFile) {
-  const std::string json = render_tiny_trace();
+// Compares `text` with tests/golden/`name` (or rewrites the file under
+// DQME_REGEN_GOLDEN=1).
+void expect_golden(const std::string& text, const std::string& name) {
   const std::string path =
-      std::string(DQME_SOURCE_DIR) + "/tests/golden/trace_3site.json";
+      std::string(DQME_SOURCE_DIR) + "/tests/golden/" + name;
   if (std::getenv("DQME_REGEN_GOLDEN") != nullptr) {
     std::ofstream out(path);
     ASSERT_TRUE(out) << "cannot write " << path;
-    out << json;
+    out << text;
     GTEST_SKIP() << "regenerated " << path;
   }
   std::ifstream in(path);
@@ -295,9 +298,41 @@ TEST(ChromeTrace, MatchesGoldenFile) {
                   << " — run with DQME_REGEN_GOLDEN=1 to create it";
   std::stringstream buf;
   buf << in.rdbuf();
-  EXPECT_EQ(json, buf.str())
-      << "trace export drifted from the golden file; if intentional, "
-         "regenerate with DQME_REGEN_GOLDEN=1";
+  EXPECT_EQ(text, buf.str())
+      << name << " drifted from its golden file; if intentional, "
+                 "regenerate with DQME_REGEN_GOLDEN=1";
+}
+
+TEST(ChromeTrace, MatchesGoldenFile) {
+  expect_golden(render_tiny_trace(), "trace_3site.json");
+}
+
+// `dqme_explore --mutate lost-transfer --trace-out ... --flightrec-out ...`
+// in-process: find and minimize the counterexample, replay it with capture
+// on, and pin both exports byte for byte — the Chrome trace of the whole
+// replay and the flight recorder's black box ending in the violation.
+TEST(ChromeTrace, LostTransferCounterexampleMatchesGoldens) {
+  verify::ExplorerConfig cfg;
+  cfg.dpor = verify::Dpor::kSource;
+  cfg.world.mutation = verify::Mutation::kLostTransfer;
+  const verify::ExploreResult r = verify::Explorer(cfg).run();
+  ASSERT_FALSE(r.violations.empty());
+  const std::vector<verify::Action>& schedule = r.violations.front().schedule;
+  EXPECT_EQ(schedule.size(), 37u);
+  const auto world = verify::replay_schedule(cfg.world, schedule, true);
+
+  ChromeTraceData data;
+  data.n_sites = cfg.world.n;
+  data.label = "dqme_explore counterexample (cao-singhal)";
+  data.messages = world->trace_recorder()->events();
+  data.span_events = world->span_recorder()->events();
+  std::ostringstream trace;
+  write_chrome_trace(trace, data);
+  expect_golden(trace.str(), "lost_transfer_trace.json");
+
+  std::ostringstream dump;
+  world->flight_recorder()->dump(dump);
+  expect_golden(dump.str(), "lost_transfer_flightrec.json");
 }
 
 }  // namespace
