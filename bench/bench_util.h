@@ -148,28 +148,10 @@ inline void maybe_write_trace(const BenchOptions& opts,
   if (opts.trace_out.empty()) return;
   if (cfg.warmup > 20'000) cfg.warmup = 20'000;
   if (cfg.measure > 100'000) cfg.measure = 100'000;
-  obs::RunCapture cap;
+  obs::Recording cap;
   cfg.capture = &cap;
   harness::run_experiment(cfg);
-
-  obs::ChromeTraceData data;
-  data.n_sites = cap.n_sites;
-  data.label = cap.label;
-  data.messages = std::move(cap.messages);
-  data.span_events = std::move(cap.span_events);
-  std::ofstream f(opts.trace_out);
-  if (!f) {
-    std::cerr << "cannot write " << opts.trace_out << "\n";
-    return;
-  }
-  obs::write_chrome_trace(f, data);
-  std::cout << "  [trace] wrote " << opts.trace_out << " ("
-            << data.messages.size() << " messages, "
-            << data.span_events.size() << " span events"
-            << (cap.messages_dropped + cap.span_events_dropped > 0
-                    ? ", truncated"
-                    : "")
-            << ")\n";
+  obs::write_chrome_trace(opts.trace_out, cap, std::cout);
 }
 
 // Prints the standard integrity line every bench ends with: the run is

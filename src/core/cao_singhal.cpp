@@ -30,6 +30,16 @@ const quorum::QuorumSystem& CaoSinghalSite::qs(LockId lock) const {
   return quorums_;
 }
 
+const std::optional<quorum::Quorum>& CaoSinghalSite::quorum_for_alive(
+    LockId lock) {
+  const quorum::QuorumSystem& q = qs(lock);
+  if (alive_quorum_of_ != &q) {
+    alive_quorum_ = q.quorum_for_alive(id(), alive_);
+    alive_quorum_of_ = &q;
+  }
+  return alive_quorum_;
+}
+
 void CaoSinghalSite::send_to(SiteId dst, const Message* msgs, size_t n,
                              LockId lock) {
   DQME_CHECK(n > 0);
@@ -46,7 +56,7 @@ void CaoSinghalSite::do_request(LockId lock) {
   DQME_CHECK_MSG(!stalled_, "site " << id() << " is stalled (no quorum)");
   Lk& L = lk_[static_cast<size_t>(lock)];
   if (opt_.fault_tolerant) {
-    auto q = qs(lock).quorum_for_alive(id(), alive_);
+    const auto& q = quorum_for_alive(lock);
     if (!q) {
       stalled_ = true;
       abort_request(lock);
@@ -423,6 +433,7 @@ void CaoSinghalSite::handle_failure_notice(const Message& m) {
   DQME_CHECK(0 <= f && f < net().size());
   if (!alive_[static_cast<size_t>(f)]) return;  // duplicate notice
   alive_[static_cast<size_t>(f)] = false;
+  alive_quorum_of_ = nullptr;
   // One notice, every lock: the crash severs f's role in each lock's
   // arbitration independently.
   for (LockId l = 0; l < num_locks(); ++l) recover_lock(l, f);
@@ -460,7 +471,7 @@ void CaoSinghalSite::recover_lock(LockId lock, SiteId f) {
     L.voted.clear();
     L.inq_queue.clear();
     L.tran_stack.clear();
-    auto q = qs(lock).quorum_for_alive(id(), alive_);
+    const auto& q = quorum_for_alive(lock);
     if (!q) {
       stalled_ = true;
       L.my_req = ReqId{};
@@ -504,7 +515,14 @@ void CaoSinghalSite::debug_dump(std::ostream& os, LockId lock) const {
   for (const auto& e : L.tran_stack) os << e.target << "@" << e.arbiter << ' ';
   os << "} | arbiter lock=" << L.lock << " queue={";
   for (const auto& r : L.req_queue) os << r << ' ';
-  os << "} inquired=" << L.inquired_this_tenure << '\n';
+  os << "} inquired=" << L.inquired_this_tenure << " alive_q=";
+  if (alive_quorum_of_ == nullptr)
+    os << "stale";
+  else if (!alive_quorum_)
+    os << "none";
+  else
+    for (SiteId j : *alive_quorum_) os << j << ' ';
+  os << '\n';
 }
 
 void CaoSinghalSite::copy_protocol_state(const mutex::MutexSite& other) {
@@ -514,6 +532,10 @@ void CaoSinghalSite::copy_protocol_state(const mutex::MutexSite& other) {
   lk_ = o.lk_;
   alive_ = o.alive_;
   stalled_ = o.stalled_;
+  alive_quorum_ = o.alive_quorum_;
+  // The key is a quorum system of `other`'s: keep the entry only when it
+  // came from the site-wide system, which both sites share by value.
+  alive_quorum_of_ = o.alive_quorum_of_ == &o.quorums_ ? &quorums_ : nullptr;
   case_stats_ = o.case_stats_;
   stats_ = o.stats_;
 }

@@ -153,6 +153,8 @@ class CaoSinghalSite final : public mutex::MutexSite {
 
   // Quorum system arbitrating `lock`.
   const quorum::QuorumSystem& qs(LockId lock) const;
+  // §6: a quorum of live sites for `lock`, or nullopt when none can form.
+  const std::optional<quorum::Quorum>& quorum_for_alive(LockId lock);
 
   // Sends `msgs` to `dst` as one wire message (or singly when the
   // piggybacking ablation is on). Callers keep small bundles in stack
@@ -174,6 +176,12 @@ class CaoSinghalSite final : public mutex::MutexSite {
   // Fault tolerance (site-level: a crash affects every lock).
   std::vector<bool> alive_;
   bool stalled_ = false;
+  // The last quorum_for_alive result and the quorum system it came from
+  // (null: stale). The quorum is a pure function of (system, alive set),
+  // so it is kept until a failure notice changes alive_ — rebuilding it
+  // allocated on every request.
+  std::optional<quorum::Quorum> alive_quorum_;
+  const quorum::QuorumSystem* alive_quorum_of_ = nullptr;
 
   CaseStats case_stats_;
   ProtocolStats stats_;

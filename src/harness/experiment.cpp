@@ -7,6 +7,7 @@
 #include "common/flags.h"
 #include "harness/deployment.h"
 #include "harness/sweep.h"
+#include "obs/event_log.h"
 #include "obs/flight_recorder.h"
 #include "obs/invariants.h"
 #include "obs/model.h"
@@ -122,24 +123,16 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
   if (cfg.lock_piggyback_window >= 0)
     network.set_lock_piggyback(cfg.lock_piggyback_window);
 
-  // Observability capture (opt-in). Every observer below subscribes
-  // independently, so each sees every edge whatever the attach order.
-  std::unique_ptr<net::TraceRecorder> msg_rec;
-  std::unique_ptr<obs::SpanRecorder> span_rec;
-  if (cfg.capture != nullptr)
-    msg_rec =
-        std::make_unique<net::TraceRecorder>(network, cfg.capture->capacity);
-  // One span recorder serves both consumers (full capture and critical-path
-  // attribution) — sized for whichever needs more.
-  if (cfg.capture != nullptr || cfg.critpath) {
-    size_t cap = cfg.critpath ? cfg.critpath_capacity : 0;
-    if (cfg.capture != nullptr && cfg.capture->capacity > cap)
-      cap = cfg.capture->capacity;
-    span_rec = std::make_unique<obs::SpanRecorder>(network, cap);
-  }
+  // Observability capture (opt-in). One event log serves both consumers,
+  // the capture and critical-path attribution. Every observer below
+  // subscribes independently, so each sees every edge whatever the attach
+  // order.
+  std::unique_ptr<obs::EventLog> log;
+  if (cfg.capture != nullptr || cfg.critpath)
+    log = std::make_unique<obs::EventLog>(network);
 
   const Deployment dep(cfg.algo, cfg.n, cfg.quorum, cfg.options, network);
-  if (span_rec) span_rec->attach_all(dep.sites());
+  if (log) log->attach_all(dep.sites());
 
   std::unique_ptr<obs::InvariantChecker> checker;
   if (cfg.check_invariants) {
@@ -163,8 +156,7 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
   if (!cfg.flight_recorder_dump.empty()) {
     DQME_CHECK_MSG(checker != nullptr,
                    "flight_recorder_dump requires check_invariants");
-    flightrec =
-        std::make_unique<obs::FlightRecorder>(cfg.flight_recorder_capacity);
+    flightrec = std::make_unique<obs::FlightRecorder>();
     flightrec->set_dump_path(cfg.flight_recorder_dump);
     flightrec->set_label(std::string(mutex::to_string(cfg.algo)) +
                          " n=" + std::to_string(cfg.n) +
@@ -256,7 +248,7 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
     const Time win_lo = cfg.warmup;
     const Time win_hi = cfg.warmup + cfg.measure;
     for (const obs::CritPath& p :
-         obs::extract_critical_paths(span_rec->events()))
+         obs::extract_critical_paths(log->events()))
       if (p.entered >= win_lo && p.entered < win_hi) res.critpath.record(p);
   }
 
@@ -342,17 +334,11 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
     }
   }
 
-  if (cfg.capture != nullptr) {
-    cfg.capture->n_sites = cfg.n;
-    cfg.capture->label = std::string(mutex::to_string(cfg.algo)) +
-                         " n=" + std::to_string(cfg.n) +
-                         " T=" + std::to_string(cfg.mean_delay) +
-                         " seed=" + std::to_string(cfg.seed);
-    cfg.capture->messages = msg_rec->events();
-    cfg.capture->messages_dropped = msg_rec->dropped();
-    cfg.capture->span_events = span_rec->events();
-    cfg.capture->span_events_dropped = span_rec->dropped();
-  }
+  if (cfg.capture != nullptr)
+    *cfg.capture = log->take(std::string(mutex::to_string(cfg.algo)) +
+                             " n=" + std::to_string(cfg.n) +
+                             " T=" + std::to_string(cfg.mean_delay) +
+                             " seed=" + std::to_string(cfg.seed));
   return res;
 }
 

@@ -12,7 +12,7 @@
 #include "harness/metrics.h"
 #include "harness/workload.h"
 #include "mutex/factory.h"
-#include "obs/capture.h"
+#include "obs/event.h"
 #include "obs/critpath.h"
 #include "quorum/quorum_system.h"
 
@@ -69,10 +69,11 @@ struct ExperimentConfig {
   Time liveness_bound = 0;
 
   // Observability capture (src/obs): when set, the run records every
-  // control message and span edge into *capture. Single-run only —
+  // delivery, crash and span edge into an obs::EventLog and moves the
+  // recording into *capture before returning. Single-run only —
   // SweepRunner rejects a shared capture across multiple configs. Null
   // (the default) installs no hooks.
-  obs::RunCapture* capture = nullptr;
+  obs::Recording* capture = nullptr;
 
   // Time-resolved telemetry (obs::Timeline): window width in ticks; <= 0
   // (the default) disables it — no hooks, no sampler events, zero hot-path
@@ -87,21 +88,19 @@ struct ExperimentConfig {
   // disables it.
   int lock_stats_k = 0;
 
-  // Causal critical-path attribution (src/obs/critpath): attaches a
-  // SpanRecorder, reconstructs each measurement-window request's critical
-  // path after the run, and aggregates the delay budget into
-  // result.critpath (plus critpath.* registry keys). Off (default) = no
-  // hooks installed, zero hot-path cost.
+  // Causal critical-path attribution (src/obs/critpath): records the run
+  // in an obs::EventLog (the same one a capture uses), reconstructs each
+  // measurement-window request's critical path after the run, and
+  // aggregates the delay budget into result.critpath (plus critpath.*
+  // registry keys). Off (default) = no hooks installed, zero hot-path cost.
   bool critpath = false;
-  size_t critpath_capacity = 1'000'000;
 
   // Black-box flight recorder (obs::FlightRecorder): when non-empty, the
-  // run keeps a ring of the last flight_recorder_capacity protocol events
-  // and auto-dumps them to this path (Chrome-trace JSON) on the first
-  // invariant violation. Requires check_invariants — the recorder is fed
-  // through the checker so scripted and wire traffic look the same.
+  // run keeps a ring of its most recent events and auto-dumps them to this
+  // path (Chrome-trace JSON) on the first invariant violation. Requires
+  // check_invariants — the recorder is fed through the checker so scripted
+  // and wire traffic look the same.
   std::string flight_recorder_dump;
-  size_t flight_recorder_capacity = 4096;
 };
 
 struct ExperimentResult {

@@ -33,7 +33,7 @@ std::vector<ExperimentResult> SweepRunner::run(
   if (configs.size() > 1)
     for (const ExperimentConfig& cfg : configs)
       DQME_CHECK_MSG(cfg.capture == nullptr,
-                     "RunCapture is single-run: workers would race on a "
+                     "a capture is single-run: workers would race on a "
                      "capture shared across a sweep");
 
   std::vector<std::function<ExperimentResult()>> jobs;

@@ -30,7 +30,7 @@
 
 namespace dqme::mutex {
 
-// Observability hook (obs::SpanRecorder, obs::InvariantChecker, the rt
+// Observability hook (obs::EventLog, obs::InvariantChecker, the rt
 // taps): protocols report the span-boundary instants of each CS request
 // attempt, keyed by the lock it targets (span ids are derived from (site,
 // seq) and can collide across locks — (lock, site, span) is the unique

@@ -84,9 +84,9 @@ struct KvFields {
 // message ships the sentinel. The Network owns the slot for the message's
 // whole flight and recycles it once the receiver's handler returns (or the
 // message is dropped by crash semantics) — a Message copy retained past
-// delivery must therefore sever the handle (net::TraceRecorder does, at
-// capture time), because the recycled slot may back an unrelated flight by
-// the time anyone looks.
+// delivery must therefore sever the handle (obs::Event::delivery does, for
+// every recorder), because the recycled slot may back an unrelated flight
+// by the time anyone looks.
 using PayloadId = uint32_t;
 inline constexpr PayloadId kNoPayload = 0xffffffffu;
 

@@ -286,9 +286,9 @@ void Network::deliver_one(const Message& m, LockId lock, CauseId cause) {
     return;
   }
   stats_.delivered_messages += 1;
-  // Causal context for the handler: an attached recorder reads
+  // Causal context for the handler: an attached event log reads
   // delivering_cause() inside its delivery callback, and anything the
-  // handler sends is stamped with send_cause_ — which the recorder
+  // handler sends is stamped with send_cause_ — which the log
   // overwrites per recorded edge, so only observed runs ever see a
   // non-kNoCause value here.
   delivering_cause_ = cause;

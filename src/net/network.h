@@ -65,13 +65,13 @@ namespace dqme::net {
 
 // Causal-predecessor handle threaded through the network (src/obs/critpath).
 // A CauseId names the observability event that *enabled* a send — the index
-// an attached obs::SpanRecorder assigned to the delivery / CS-exit / issue
-// edge it recorded just before the send happened. The network itself never
+// an attached obs::EventLog assigned to the delivery / CS-exit / issue
+// event it recorded just before the send happened. The network itself never
 // interprets the value: it copies the current cause into every staged
 // message (parallel to the lock tags) and surfaces the stamped cause again
-// at delivery time, so a recorder can link each wire edge to the edge that
+// at delivery time, so a log can link each delivery to the event that
 // produced it without growing the 80-byte Message. kNoCause (the resting
-// value with no recorder attached) means "root event / cause unknown".
+// value with no log attached) means "root event / cause unknown".
 using CauseId = int32_t;
 inline constexpr CauseId kNoCause = -1;
 
@@ -211,8 +211,8 @@ class Network final : public Executor {
 
   // --- Causal threading (src/obs/critpath) ----------------------------
   // The current cause is whatever protocol-relevant event last happened on
-  // this logical thread of control: an attached SpanRecorder sets it after
-  // recording each edge, and every send() staged while it is set carries it
+  // this logical thread of control: an attached obs::EventLog sets it after
+  // recording each event, and every send() staged while it is set carries it
   // (per message, in the flight's parallel cause array). At delivery the
   // stamped cause of the message being handed over is readable through
   // delivering_cause() for the duration of the receiver's handler, and the

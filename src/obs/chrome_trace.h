@@ -14,39 +14,64 @@
 // format's ts unit: timestamps pass through untouched.
 #pragma once
 
-#include <deque>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
-#include "net/trace.h"
-#include "obs/span.h"
+#include "obs/event.h"
 
 namespace dqme::obs {
 
-struct ChromeTraceData {
-  int n_sites = 0;
-  std::string label;  // e.g. "cao-singhal N=9 grid T=1000"
-  std::deque<net::TraceEvent> messages;  // from net::TraceRecorder
-  std::vector<SpanEvent> span_events;    // from SpanRecorder
+// What to draw of a recording.
+struct ChromeTraceView {
   // Export only events of this span (kNoSpan = all). Message slices keep
   // every flow arrow attached to the filtered span.
   SpanId only_span = kNoSpan;
   // Export only events of this lock (kNoLock = all): slices a multi-lock
   // run — 4096 lanes of interleaved traffic — down to one lock's story.
   LockId only_lock = kNoLock;
-  // Critical-path highlight: indices into span_events of the wire/proxy
-  // hops of ONE extracted CritPath (CritSegment::event of its kWire/kProxy
-  // segments). The matching message slices and flow arrows are exported
-  // with an extra args entry "crit": 1, so the path that determined the
-  // entry instant pops out of the flow-arrow thicket in the viewer — and
-  // scripts/validate_trace.py can assert the tagged arrows form a single
-  // time-ordered chain.
+  // Critical-path highlight: indices into the recording's events of the
+  // wire/proxy hops of ONE extracted CritPath (CritSegment::event of its
+  // kWire/kProxy segments). Those message slices and flow arrows are
+  // exported with an extra args entry "crit": 1, so the path that
+  // determined the entry instant pops out of the flow-arrow thicket in the
+  // viewer — and scripts/validate_trace.py can assert the tagged arrows
+  // form a single time-ordered chain.
   std::vector<int32_t> crit_events;
 };
 
 // Writes the JSON object format: {"traceEvents": [...], ...}. The output
 // is self-contained and loads directly in ui.perfetto.dev.
-void write_chrome_trace(std::ostream& os, const ChromeTraceData& data);
+void write_chrome_trace(std::ostream& os, const Recording& run,
+                        const ChromeTraceView& view = {});
+
+// Every --trace-out path: writes the export to `path` and reports
+// "[trace] wrote PATH (N messages, M events)" on `log`. Returns false, after
+// "cannot write PATH" on std::cerr, when the file cannot be opened.
+bool write_chrome_trace(const std::string& path, const Recording& run,
+                        std::ostream& log, const ChromeTraceView& view = {});
+
+// The one trace-event emitter: write_chrome_trace and the flight
+// recorder's dump both write through it. Each event is one line, so the
+// files grep well.
+class TraceEventWriter {
+ public:
+  explicit TraceEventWriter(std::ostream& os);  // opens the event list
+
+  // `extra` is pre-rendered members ("\"dur\": 1"); `args_json` a
+  // pre-rendered object ("{...}"). Either may be empty.
+  void event(std::string_view name, std::string_view cat, char ph, Time ts,
+             SiteId tid, std::string_view extra = {},
+             std::string_view args_json = {});
+
+  // Closes the list. `other` is appended to the otherData object after its
+  // label, pre-rendered (", \"key\": value").
+  void end(std::string_view label, std::string_view other = {});
+
+ private:
+  std::ostream& os_;
+  bool first_ = true;
+};
 
 }  // namespace dqme::obs

@@ -21,24 +21,6 @@ struct Key {  // (lock, span) — span ids alone collide across locks
   }
 };
 
-bool is_wire(SpanEdge e) {
-  switch (e) {
-    case SpanEdge::kRequest:
-    case SpanEdge::kGrant:
-    case SpanEdge::kProxyGrant:
-    case SpanEdge::kFail:
-    case SpanEdge::kInquire:
-    case SpanEdge::kYield:
-    case SpanEdge::kTransfer:
-    case SpanEdge::kRelease:
-    case SpanEdge::kTokenReq:
-    case SpanEdge::kToken:
-      return true;
-    default:
-      return false;
-  }
-}
-
 std::string in_t(Time ticks, Time mean_delay) {
   char buf[32];
   std::snprintf(buf, sizeof buf, "%.2f",
@@ -72,14 +54,14 @@ namespace {
 // [issued, entered] from the top down. `consume` clips monotonically, so
 // the emitted segments always tile the interval exactly — conservation is
 // structural, not a property the chain has to earn.
-CritPath build_path(const std::vector<SpanEvent>& ev, int32_t enter_idx,
+CritPath build_path(const std::vector<Event>& ev, int32_t enter_idx,
                     Time issued, const std::map<Key, Time>& last_enter,
                     const std::map<Key, std::vector<int32_t>>& requests) {
-  const SpanEvent& enter = ev[static_cast<size_t>(enter_idx)];
+  const Event& enter = ev[static_cast<size_t>(enter_idx)];
   CritPath p;
   p.span = enter.span;
   p.lock = enter.lock;
-  p.site = enter.from;
+  p.site = enter.site;
   p.issued = issued;
   p.entered = enter.at;
 
@@ -103,18 +85,19 @@ CritPath build_path(const std::vector<SpanEvent>& ev, int32_t enter_idx,
     int32_t pick = -1;
     if (it != requests.end()) {
       for (int32_t idx : it->second)
-        if (arbiter != kNoSite && ev[static_cast<size_t>(idx)].to == arbiter)
+        if (arbiter != kNoSite && ev[static_cast<size_t>(idx)].site == arbiter)
           pick = idx;
       if (pick < 0)
         for (int32_t idx : it->second)
-          if (sender != kNoSite && ev[static_cast<size_t>(idx)].to == sender)
+          if (sender != kNoSite && ev[static_cast<size_t>(idx)].site == sender)
             pick = idx;
       if (pick < 0 && !it->second.empty()) pick = it->second.back();
     }
     if (pick >= 0) {
-      const SpanEvent& r = ev[static_cast<size_t>(pick)];
-      consume(r.at, CritBucket::kQueue, r.edge, r.to, kNoSite, -1);
-      consume(r.sent_at, CritBucket::kWire, r.edge, r.to, r.from, pick);
+      const Event& r = ev[static_cast<size_t>(pick)];
+      const SpanEdge via = edge_of(r);
+      consume(r.at, CritBucket::kQueue, via, r.site, kNoSite, -1);
+      consume(r.msg.sent_at, CritBucket::kWire, via, r.site, r.msg.src, pick);
     }
   };
 
@@ -125,37 +108,38 @@ CritPath build_path(const std::vector<SpanEvent>& ev, int32_t enter_idx,
   for (int steps = 0;
        hi > p.issued && cur >= 0 && cur < enter_idx && steps < kMaxChainSteps;
        ++steps) {
-    const SpanEvent& c = ev[static_cast<size_t>(cur)];
-    if (is_wire(c.edge)) {
+    const Event& c = ev[static_cast<size_t>(cur)];
+    const SpanEdge via = edge_of(c);
+    if (c.delivered()) {
       if (!saw_wire) {  // the granting message is the first hop walked
         saw_wire = true;
-        grant_arbiter = c.arbiter;
-        grant_sender = c.from;
+        grant_arbiter = c.msg.arbiter;
+        grant_sender = c.msg.src;
       }
       // Gap between this delivery and the next chain send: handler /
       // queue time at the receiver.
-      consume(c.at, CritBucket::kQueue, c.edge, c.to, kNoSite, -1);
-      const bool proxy = c.edge == SpanEdge::kProxyGrant;
-      consume(c.sent_at, proxy ? CritBucket::kProxy : CritBucket::kWire,
-              c.edge, c.to, c.from, cur);
+      consume(c.at, CritBucket::kQueue, via, c.site, kNoSite, -1);
+      const bool proxy = via == SpanEdge::kProxyGrant;
+      consume(c.msg.sent_at, proxy ? CritBucket::kProxy : CritBucket::kWire,
+              via, c.site, c.msg.src, cur);
       cur = c.cause;
       continue;
     }
-    if (c.edge == SpanEdge::kExit) {
+    if (via == SpanEdge::kExit) {
       // Predecessor CS occupancy: the chain was enabled by this holder
       // leaving. Tenure = the holder span's own enter..exit.
-      consume(c.at, CritBucket::kQueue, c.edge, c.from, kNoSite, -1);
+      consume(c.at, CritBucket::kQueue, via, c.site, kNoSite, -1);
       auto he = last_enter.find(Key{c.lock, c.span});
       const Time henter = he != last_enter.end() ? he->second : c.at;
-      consume(henter, CritBucket::kHolder, c.edge, c.from, kNoSite, cur);
+      consume(henter, CritBucket::kHolder, via, c.site, kNoSite, cur);
       fill_request(grant_arbiter, grant_sender);
       break;
     }
-    if (c.edge == SpanEdge::kIssue && c.span == p.span && c.lock == p.lock)
+    if (via == SpanEdge::kIssue && c.span == p.span && c.lock == p.lock)
       break;  // reached our own root: everything below is already tiled
     // Unexpected site edge on the chain (enter/abort/foreign issue):
     // attribute the gap above it honestly and keep following.
-    consume(c.at, CritBucket::kOther, c.edge, c.from, kNoSite, -1);
+    consume(c.at, CritBucket::kOther, via, c.site, kNoSite, -1);
     cur = c.cause;
   }
   // Whatever the chain could not reach (predecessors recorded before the
@@ -185,14 +169,14 @@ CritPath build_path(const std::vector<SpanEvent>& ev, int32_t enter_idx,
 }  // namespace
 
 std::vector<CritPath> extract_critical_paths(
-    const std::vector<SpanEvent>& events) {
+    const std::vector<Event>& events) {
   std::map<Key, Time> last_issue;
   std::map<Key, Time> last_enter;  // kept past exit: holder tenure lookups
   std::map<Key, std::vector<int32_t>> requests;
   std::vector<CritPath> out;
   for (size_t i = 0; i < events.size(); ++i) {
-    const SpanEvent& e = events[i];
-    switch (e.edge) {
+    const Event& e = events[i];
+    switch (edge_of(e)) {
       case SpanEdge::kIssue:
         last_issue[Key{e.lock, e.span}] = e.at;
         requests[Key{e.lock, e.span}].clear();

@@ -1,8 +1,8 @@
 // Causal critical-path attribution: the per-request delay-budget engine.
 //
-// A SpanRecorder stream now carries a causal predecessor index on every
-// event (SpanEvent::cause, threaded through net::Network's send/delivery
-// context). This module walks those links backwards from every kEnter to
+// An event log (obs/event_log.h) carries a causal predecessor index on
+// every event (Event::cause, threaded through net::Network's send/delivery
+// context). This module walks those links backwards from every entry to
 // reconstruct the critical path of the request — the single causal chain
 // that *determined* when the CS was entered — and buckets every tick of
 // [issued, entered] as one of:
@@ -66,8 +66,8 @@ struct CritSegment {
   SpanEdge via = SpanEdge::kIssue;  // the edge that produced the segment
   SiteId site = kNoSite;  // where the time was spent (receiver / holder)
   SiteId peer = kNoSite;  // wire segments: the sender
-  // Index into the source SpanEvent vector for wire/proxy/holder segments
-  // (lets dqme_trace tag exactly these flow arrows); -1 for fillers.
+  // Index into the event log for wire/proxy/holder segments (lets
+  // dqme_trace tag exactly these flow arrows); -1 for fillers.
   int32_t event = -1;
 
   Time duration() const { return end - begin; }
@@ -93,11 +93,11 @@ struct CritPath {
 };
 
 // Reconstructs every completed request's critical path from a recorded
-// event stream (SpanRecorder::events() or RunCapture::span_events).
+// event log (EventLog::events() or Recording::events).
 // Requests whose issue fell outside the recorded window are skipped —
 // their [issued, entered] interval cannot be tiled honestly.
 std::vector<CritPath> extract_critical_paths(
-    const std::vector<SpanEvent>& events);
+    const std::vector<Event>& events);
 
 // ASCII render of one path, one line per segment, durations also in units
 // of T (mean_delay; pass 0 to omit the T column).

@@ -103,7 +103,7 @@ void InvariantChecker::observe(const net::Message& m, LockId lock, Time at) {
 
   // Black box first: if this very delivery trips a check below, the dump's
   // tail reads "...delivery, violation" in causal order.
-  if (flightrec_) flightrec_->record_message(m, lock, at);
+  if (flightrec_) flightrec_->record(Event::delivery(m, lock, at));
 
   // FIFO: delivery on a channel must never present a message sent after
   // one still undelivered — Network keeps a per-channel delivery floor, and
@@ -210,7 +210,8 @@ void InvariantChecker::observe(const net::Message& m, LockId lock, Time at) {
 }
 
 void InvariantChecker::on_crash(SiteId site) {
-  if (flightrec_) flightrec_->record_crash(site, net_.simulator().now());
+  if (flightrec_)
+    flightrec_->record(Event::crash(site, net_.simulator().now()));
   // Fail-silent crash (§6): nothing sent by `site` is delivered from now
   // on, so write off everything only it could have discharged — on every
   // lock; a crash takes the site's whole endpoint down. The arbiters
@@ -240,8 +241,7 @@ void InvariantChecker::on_crash(SiteId site) {
 void InvariantChecker::on_span_issue(SiteId site, LockId lock, SpanId span,
                                      Time at) {
   if (flightrec_)
-    flightrec_->record_span(FlightRecorder::Kind::kSpanIssue, site, lock,
-                            span, at);
+    flightrec_->record(Event::edge(EventKind::kIssue, site, lock, span, at));
   if (span != kNoSpan) {
     Ledger& led = ledger(lock);
     // A fresh issue from a site with an open request is the §6 recovery
@@ -259,8 +259,7 @@ void InvariantChecker::on_span_issue(SiteId site, LockId lock, SpanId span,
 void InvariantChecker::on_span_enter(SiteId site, LockId lock, SpanId span,
                                      Time at) {
   if (flightrec_)
-    flightrec_->record_span(FlightRecorder::Kind::kSpanEnter, site, lock,
-                            span, at);
+    flightrec_->record(Event::edge(EventKind::kEnter, site, lock, span, at));
   Ledger& led = ledger(lock);
   ++checks_;
   if (!led.cs_occupants.empty()) {
@@ -283,8 +282,7 @@ void InvariantChecker::on_span_enter(SiteId site, LockId lock, SpanId span,
 void InvariantChecker::on_span_exit(SiteId site, LockId lock, SpanId span,
                                     Time at) {
   if (flightrec_)
-    flightrec_->record_span(FlightRecorder::Kind::kSpanExit, site, lock,
-                            span, at);
+    flightrec_->record(Event::edge(EventKind::kExit, site, lock, span, at));
   Ledger& led = ledger(lock);
   led.cs_occupants.erase(site);
   led.active_span.erase(site);
@@ -293,8 +291,7 @@ void InvariantChecker::on_span_exit(SiteId site, LockId lock, SpanId span,
 void InvariantChecker::on_span_abort(SiteId site, LockId lock, SpanId span,
                                      Time at) {
   if (flightrec_)
-    flightrec_->record_span(FlightRecorder::Kind::kSpanAbort, site, lock,
-                            span, at);
+    flightrec_->record(Event::edge(EventKind::kAbort, site, lock, span, at));
   Ledger& led = ledger(lock);
   led.active_span.erase(site);
   auto watch = led.open_requests.find(site);

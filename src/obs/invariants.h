@@ -1,6 +1,6 @@
 // Online invariant checker (the correctness tentpole).
 //
-// Subscribes to the same seams as the recorders in span.h —
+// Subscribes to the same seams as the event log (obs/event_log.h) —
 // mutex::SpanObserver for site edges, Network delivery and crash
 // subscriptions for wire edges and crashes — and validates, as the run
 // executes:
@@ -28,8 +28,8 @@
 // checker holds no pointer into protocol internals, so a protocol bug
 // cannot hide by corrupting the state it is checked against. Both seams
 // fan out to every subscriber, so the checker sees the same edges whether
-// it is attached before or after a recorder. Like the recorders, the
-// checker is opt-in: a run that attaches none executes the exact same
+// it is attached before or after an event log. Like the log, the checker
+// is opt-in: a run that attaches none executes the exact same
 // instruction stream as before.
 #pragma once
 

@@ -37,16 +37,16 @@ class ObsTap final : public mutex::SpanObserver {
     site.add_span_observer(this);
   }
   void on_span_issue(SiteId site, LockId lock, SpanId span, Time) override {
-    rtc_.record_span(site, 0, lock, span);
+    rtc_.record_span(site, obs::EventKind::kIssue, lock, span);
   }
   void on_span_enter(SiteId site, LockId lock, SpanId span, Time) override {
-    rtc_.record_span(site, 1, lock, span);
+    rtc_.record_span(site, obs::EventKind::kEnter, lock, span);
   }
   void on_span_exit(SiteId site, LockId lock, SpanId span, Time) override {
-    rtc_.record_span(site, 2, lock, span);
+    rtc_.record_span(site, obs::EventKind::kExit, lock, span);
   }
   void on_span_abort(SiteId site, LockId lock, SpanId span, Time) override {
-    rtc_.record_span(site, 3, lock, span);
+    rtc_.record_span(site, obs::EventKind::kAbort, lock, span);
   }
 
  private:

@@ -192,46 +192,30 @@ void Runtime::crash(SiteId id) {
   DQME_CHECK_MSG(alive(id), "site " << id << " already crashed");
   alive_[static_cast<size_t>(id)].store(false, std::memory_order_release);
   if (opts_.obs_feed) {
-    ObsEvent e;
-    e.stamp = next_stamp();  // a step of its own
-    e.kind = ObsEvent::kCrash;
-    e.site = id;
-    e.at = now();
+    Stamped st;
+    st.stamp = next_stamp();  // a step of its own
+    st.e = obs::Event::crash(id, now());
     std::lock_guard<std::mutex> g(obs_extra_mu_);
-    obs_extra_.push_back(e);
+    obs_extra_.push_back(st);
   }
 }
 
-void Runtime::record_span(SiteId site, uint8_t kind, LockId lock,
+void Runtime::record_span(SiteId site, obs::EventKind kind, LockId lock,
                           SpanId span) {
   if (!opts_.obs_feed) return;
-  ObsEvent e;
-  e.kind = kind;
-  e.site = site;
-  e.lock = lock;
-  e.span = span;
-  record(site, e);
+  record(site, obs::Event::edge(kind, site, lock, span, 0));
 }
 
-void Runtime::record(SiteId site, ObsEvent e) {
+void Runtime::record(SiteId site, const obs::Event& e) {
   Pump& p = pumps_[static_cast<size_t>(site)];
   stamp_step(p);
-  e.stamp = p.step_stamp;
-  e.order = p.step_order++;
-  e.at = now();
-  obs_shards_[static_cast<size_t>(site)].push_back(e);
+  Stamped st{e, p.step_stamp, p.step_order++};
+  st.e.at = now();
+  obs_shards_[static_cast<size_t>(site)].push_back(st);
 }
 
 void Runtime::record_deliver(SiteId dst, const net::Message& m, LockId lock) {
-  ObsEvent e;
-  e.kind = ObsEvent::kDeliver;
-  e.site = dst;
-  e.lock = lock;
-  e.m = m;
-  // The payload slot is recycled the moment the handler returns; sever the
-  // handle so the replay can never chase a reused slot.
-  e.m.payload = net::kNoPayload;
-  record(dst, e);
+  record(dst, obs::Event::delivery(m, lock, 0));
 }
 
 bool Runtime::dispatch(SiteId dst, const WireSlot& slot) {
@@ -518,42 +502,43 @@ void Runtime::replay_into(obs::InvariantChecker& chk) {
   // unique to a step (one atomic), so the merged sequence is a total order;
   // per-site subsequences keep their local order because each shard was
   // appended in that order.
-  std::vector<const ObsEvent*> merged;
+  std::vector<const Stamped*> merged;
   size_t total = obs_extra_.size();
   for (const auto& shard : obs_shards_) total += shard.size();
   merged.reserve(total);
   for (const auto& shard : obs_shards_)
-    for (const ObsEvent& e : shard) merged.push_back(&e);
-  for (const ObsEvent& e : obs_extra_) merged.push_back(&e);
+    for (const Stamped& st : shard) merged.push_back(&st);
+  for (const Stamped& st : obs_extra_) merged.push_back(&st);
   std::sort(merged.begin(), merged.end(),
-            [](const ObsEvent* a, const ObsEvent* b) {
+            [](const Stamped* a, const Stamped* b) {
               return a->stamp != b->stamp ? a->stamp < b->stamp
                                           : a->order < b->order;
             });
   Time last = 0;
-  for (const ObsEvent* e : merged) {
+  for (const Stamped* st : merged) {
+    const obs::Event& e = st->e;
     // Guard against wall-clock reads racing the stamp acquisition across
     // threads: the checker only needs a non-decreasing clock.
-    const Time at = std::max(e->at, last);
+    const Time at = std::max(e.at, last);
     last = at;
-    switch (e->kind) {
-      case ObsEvent::kSpanIssue:
-        chk.on_span_issue(e->site, e->lock, e->span, at);
+    switch (e.kind) {
+      case obs::EventKind::kIssue:
+        chk.on_span_issue(e.site, e.lock, e.span, at);
         break;
-      case ObsEvent::kSpanEnter:
-        chk.on_span_enter(e->site, e->lock, e->span, at);
+      case obs::EventKind::kEnter:
+        chk.on_span_enter(e.site, e.lock, e.span, at);
         break;
-      case ObsEvent::kSpanExit:
-        chk.on_span_exit(e->site, e->lock, e->span, at);
+      case obs::EventKind::kExit:
+        chk.on_span_exit(e.site, e.lock, e.span, at);
         break;
-      case ObsEvent::kSpanAbort:
-        chk.on_span_abort(e->site, e->lock, e->span, at);
+      case obs::EventKind::kAbort:
+        chk.on_span_abort(e.site, e.lock, e.span, at);
         break;
-      case ObsEvent::kDeliver:
-        chk.observe(e->m, e->lock, at);
+      case obs::EventKind::kDeliver:
+        chk.observe(e.msg, e.lock, at);
         break;
-      case ObsEvent::kCrash:
-        chk.on_crash(e->site);
+      case obs::EventKind::kCrash:
+        chk.on_crash(e.site);
         break;
       default:
         DQME_CHECK_MSG(false, "unknown obs event kind");

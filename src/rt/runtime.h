@@ -61,6 +61,7 @@
 #include "common/types.h"
 #include "net/executor.h"
 #include "net/message.h"
+#include "obs/event.h"
 #include "rt/doorbell.h"
 #include "rt/spsc_ring.h"
 
@@ -186,9 +187,10 @@ class Runtime final : public net::Executor {
 
   // --- sharded observability feed -------------------------------------
   bool obs_feed_enabled() const { return opts_.obs_feed; }
-  // Span-edge entry point for rt::ObsTap (kind: 0 issue, 1 enter, 2 exit,
-  // 3 abort). Must be called from `site`'s own thread.
-  void record_span(SiteId site, uint8_t kind, LockId lock, SpanId span);
+  // Span-edge entry point for rt::ObsTap (kind: issue, enter, exit or
+  // abort). Must be called from `site`'s own thread.
+  void record_span(SiteId site, obs::EventKind kind, LockId lock,
+                   SpanId span);
   // Merges the per-site shards by global stamp and replays the run through
   // `chk` (observe / on_span_* / on_crash), then finish(). Call after the
   // pump threads have exited.
@@ -237,23 +239,11 @@ class Runtime final : public net::Executor {
     return a.seq > b.seq;
   }
 
-  struct ObsEvent {
-    enum Kind : uint8_t {
-      kSpanIssue = 0,
-      kSpanEnter = 1,
-      kSpanExit = 2,
-      kSpanAbort = 3,
-      kDeliver = 4,
-      kCrash = 5,
-    };
+  // One feed entry: the observability record plus its place in the merge.
+  struct Stamped {
+    obs::Event e;
     uint64_t stamp = 0;  // of the step that recorded it
     uint32_t order = 0;  // within that step
-    net::Message m;
-    SpanId span = kNoSpan;
-    Time at = 0;
-    SiteId site = kNoSite;
-    LockId lock = kLock0;
-    uint8_t kind = kDeliver;
   };
 
   // Per-site pump state. Producers ring `bell`; everything else is touched
@@ -344,7 +334,7 @@ class Runtime final : public net::Executor {
   bool dispatch(SiteId dst, const WireSlot& slot);
   void release_payload(net::PayloadId id);
   void record_deliver(SiteId dst, const net::Message& m, LockId lock);
-  void record(SiteId site, ObsEvent e);
+  void record(SiteId site, const obs::Event& e);
   uint64_t next_stamp() {
     // seq_cst: the stamp order must be consistent with real time across
     // threads — this is what makes the merged replay a faithful
@@ -385,9 +375,9 @@ class Runtime final : public net::Executor {
   // crash events (which may come from any thread) go to the mutex-guarded
   // extra shard. Merged by (stamp, order) in replay_into().
   std::atomic<uint64_t> obs_stamp_{0};
-  std::vector<std::vector<ObsEvent>> obs_shards_;
+  std::vector<std::vector<Stamped>> obs_shards_;
   std::mutex obs_extra_mu_;
-  std::vector<ObsEvent> obs_extra_;
+  std::vector<Stamped> obs_extra_;
 };
 
 }  // namespace dqme::rt

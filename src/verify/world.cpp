@@ -109,10 +109,9 @@ World::World(const WorldConfig& cfg, bool capture)
       net_, dep_.invariant_options(0));
   checker_->attach_all(dep_.sites());
   if (capture) {
-    trace_rec_ = std::make_unique<net::TraceRecorder>(net_);
-    span_rec_ = std::make_unique<obs::SpanRecorder>(net_);
-    span_rec_->attach_all(dep_.sites());
-    flightrec_ = std::make_unique<obs::FlightRecorder>(4096);
+    log_ = std::make_unique<obs::EventLog>(net_);
+    log_->attach_all(dep_.sites());
+    flightrec_ = std::make_unique<obs::FlightRecorder>();
     flightrec_->set_label("dqme_explore replay " +
                           std::string(mutex::to_string(cfg.algo)) + " n=" +
                           std::to_string(cfg.n));
@@ -143,7 +142,7 @@ World::World(const WorldConfig& cfg, bool capture)
 
 void World::copy_state_from(const World& other) {
   DQME_CHECK_MSG(cfg_ == other.cfg_, "copy_state_from across configs");
-  DQME_CHECK_MSG(trace_rec_ == nullptr && other.trace_rec_ == nullptr,
+  DQME_CHECK_MSG(log_ == nullptr && other.log_ == nullptr,
                  "capture-mode worlds cannot be copied");
   sim_.copy_state_from(other.sim_);
   net_.copy_state_from(other.net_);

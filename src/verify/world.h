@@ -30,20 +30,19 @@
 #include <vector>
 
 #include "harness/deployment.h"
-#include "net/trace.h"
+#include "obs/event_log.h"
 #include "obs/flight_recorder.h"
 #include "obs/invariants.h"
-#include "obs/span.h"
 #include "verify/schedule.h"
 
 namespace dqme::verify {
 
 class World {
  public:
-  // `capture` additionally subscribes a TraceRecorder + SpanRecorder next
-  // to the checker (each sees every edge; attach order is irrelevant) so a
-  // replayed counterexample can be exported as a Chrome trace. Exploration
-  // runs without it.
+  // `capture` additionally subscribes an event log next to the checker
+  // (each sees every edge; attach order is irrelevant) so a replayed
+  // counterexample can be exported as a Chrome trace, and wires a flight
+  // recorder into the checker. Exploration runs without it.
   explicit World(const WorldConfig& cfg, bool capture = false);
   World(const World&) = delete;
   World& operator=(const World&) = delete;
@@ -53,7 +52,7 @@ class World {
   // by layer: the idle simulator's clock and counters, the controlled
   // network's flights, queues, stats and payloads, every site's protocol
   // state, the checker's ledger, and this World's own fields. Capture-mode
-  // worlds cannot take part: their recorders hold history.
+  // worlds cannot take part: their log and recorder hold history.
   void copy_state_from(const World& other);
 
   // Performs one action. Returns false (and changes nothing but the clock)
@@ -91,8 +90,7 @@ class World {
   const obs::InvariantChecker& checker() const { return *checker_; }
 
   // Capture output (null unless constructed with capture = true).
-  const net::TraceRecorder* trace_recorder() const { return trace_rec_.get(); }
-  const obs::SpanRecorder* span_recorder() const { return span_rec_.get(); }
+  const obs::EventLog* event_log() const { return log_.get(); }
   // Checker-fed black box (capture mode only): after a counterexample
   // replay its ring holds the tail of deliveries/edges ending in the
   // violation — dump_to() exports it as a Chrome trace.
@@ -124,8 +122,7 @@ class World {
   net::Network net_;
   harness::Deployment dep_;
   std::vector<std::unique_ptr<SiteTap>> taps_;
-  std::unique_ptr<net::TraceRecorder> trace_rec_;
-  std::unique_ptr<obs::SpanRecorder> span_rec_;
+  std::unique_ptr<obs::EventLog> log_;
   std::unique_ptr<obs::FlightRecorder> flightrec_;
   std::unique_ptr<obs::InvariantChecker> checker_;
 

@@ -129,9 +129,10 @@ struct Counts {
 
 constexpr int kN = 9;  // 3x3 grid: K = 5
 
-mutex::AlgoOptions options(LockId locks) {
+mutex::AlgoOptions options(LockId locks, bool fault_tolerant = false) {
   mutex::AlgoOptions o;
   o.num_locks = locks;
+  o.fault_tolerant = fault_tolerant;
   return o;
 }
 
@@ -146,9 +147,9 @@ std::string name_of(Algo a) {
 // loop with E=10, no metrics — the configuration whose steady state must
 // not touch the heap.
 struct SimRig {
-  SimRig(Algo algo, LockId locks)
+  SimRig(Algo algo, LockId locks, bool fault_tolerant = false)
       : net(sim, kN, std::make_unique<net::ConstantDelay>(100), 1),
-        dep(algo, kN, "grid", options(locks), net),
+        dep(algo, kN, "grid", options(locks, fault_tolerant), net),
         wl(sim, dep.sites(), config(locks), nullptr) {}
 
   static harness::Workload::Config config(LockId locks) {
@@ -175,22 +176,31 @@ struct SimRig {
 class SteadyState
     : public ::testing::TestWithParam<std::tuple<Algo, LockId>> {};
 
-TEST_P(SteadyState, WarmedWindowAllocatesNothing) {
-  const auto [algo, locks] = GetParam();
+// Allocations over a warmed 10k-CS window of `rig`.
+Counts warmed_window(SimRig& rig) {
   constexpr uint64_t kWarmup = 10'000;
   constexpr uint64_t kWindow = 10'000;
-  SimRig rig(algo, locks);
   rig.wl.start();
   rig.run_to(kWarmup);
   const Counts before = Counts::now();
   rig.run_to(kWarmup + kWindow);
-  const Counts used = Counts::now() - before;
-  std::printf("steady state %-20s locks=%-3d %llu allocations, %llu bytes "
-              "over %llu CS\n",
-              std::string(mutex::to_string(algo)).c_str(), locks,
+  return Counts::now() - before;
+}
+
+void print_window(const char* what, Algo algo, LockId locks,
+                  const Counts& used) {
+  std::printf("%s %-20s locks=%-3d %llu allocations, %llu bytes over 10000 "
+              "CS\n",
+              what, std::string(mutex::to_string(algo)).c_str(), locks,
               static_cast<unsigned long long>(used.allocs),
-              static_cast<unsigned long long>(used.bytes),
-              static_cast<unsigned long long>(kWindow));
+              static_cast<unsigned long long>(used.bytes));
+}
+
+TEST_P(SteadyState, WarmedWindowAllocatesNothing) {
+  const auto [algo, locks] = GetParam();
+  SimRig rig(algo, locks);
+  const Counts used = warmed_window(rig);
+  print_window("steady state", algo, locks, used);
   EXPECT_EQ(used.allocs, 0u);
   EXPECT_EQ(used.bytes, 0u);
 }
@@ -202,6 +212,27 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<SteadyState::ParamType>& info) {
       return name_of(std::get<0>(info.param)) + "_locks" +
              std::to_string(std::get<1>(info.param));
+    });
+
+// §6 mode builds each request's quorum from the alive set. With no failure
+// notice since the last request the alive set is unchanged, so neither is
+// the quorum: the request path must not rebuild it.
+class SteadyStateFaultTolerant : public ::testing::TestWithParam<LockId> {};
+
+TEST_P(SteadyStateFaultTolerant, WarmedWindowAllocatesNothing) {
+  const LockId locks = GetParam();
+  SimRig rig(Algo::kCaoSinghal, locks, /*fault_tolerant=*/true);
+  const Counts used = warmed_window(rig);
+  print_window("steady state (ft)", Algo::kCaoSinghal, locks, used);
+  EXPECT_EQ(used.allocs, 0u);
+  EXPECT_EQ(used.bytes, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    CaoSinghal, SteadyStateFaultTolerant,
+    ::testing::Values(LockId{1}, LockId{16}),
+    [](const ::testing::TestParamInfo<LockId>& info) {
+      return "locks" + std::to_string(info.param);
     });
 
 // ------------------------------------------- memory per (site, lock)

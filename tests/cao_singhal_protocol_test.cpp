@@ -6,7 +6,7 @@
 
 #include "net/network.h"
 #include "core/cao_singhal.h"
-#include "net/trace.h"
+#include "obs/event_log.h"
 #include "quorum/factory.h"
 
 namespace dqme {
@@ -382,7 +382,7 @@ TEST(CaoSinghalProtocol, LateTransferFallsBackToTwoT) {
 TEST(CaoSinghalProtocol, GoldenTraceThreeSites) {
   sim::Simulator sim;
   net::Network net(sim, 3, std::make_unique<net::ConstantDelay>(1000), 1);
-  net::TraceRecorder trace(net);
+  obs::EventLog trace(net);  // no site attached: deliveries only
   auto quorums = quorum::make_quorum_system("grid", 3);
   std::vector<std::unique_ptr<CaoSinghalSite>> sites;
   for (SiteId i = 0; i < 3; ++i) {
@@ -437,7 +437,7 @@ TEST(CaoSinghalProtocol, GoldenTraceThreeSites) {
 TEST(CaoSinghalProtocol, YieldRegrantPiggybacksTransfer) {
   sim::Simulator sim;
   net::Network net(sim, 3, std::make_unique<net::ConstantDelay>(1000), 1);
-  net::TraceRecorder trace(net);
+  obs::EventLog trace(net);
   auto quorums = quorum::make_quorum_system("grid", 3);
   std::vector<std::unique_ptr<CaoSinghalSite>> sites;
   for (SiteId i = 0; i < 3; ++i) {
@@ -450,9 +450,10 @@ TEST(CaoSinghalProtocol, YieldRegrantPiggybacksTransfer) {
   sim.run();
   // The re-grant from arbiter 2 to site 0 after site 2's yield: reply and
   // transfer delivered at the same instant (one wire bundle).
-  auto regrant = trace.filter([](const net::TraceEvent& e) {
-    return e.at == 3000 && e.msg.src == 2 && e.msg.dst == 0;
-  });
+  std::vector<obs::Event> regrant;
+  for (const obs::Event& e : trace.events())
+    if (e.at == 3000 && e.msg.src == 2 && e.msg.dst == 0)
+      regrant.push_back(e);
   ASSERT_EQ(regrant.size(), 2u);
   EXPECT_EQ(regrant[0].msg.type, MsgType::kReply);
   EXPECT_EQ(regrant[1].msg.type, MsgType::kTransfer);

@@ -6,12 +6,14 @@ Usage: cli_test.py BUILD_DIR SOURCE_DIR
 Runs each invocation documented in .github/workflows/ci.yml,
 .github/workflows/nightly.yml, README.md and .claude/skills/verify/SKILL.md
 (schedule budgets, bench windows and explorer probes shrunk to seconds),
-then a set of malformed and out-of-range inputs. Every run happens in one
+including the scripts that validate what they write, then a set of
+malformed and out-of-range inputs. Every run happens in one
 scratch directory, in order (later cases read files earlier ones wrote),
 under a timeout. A case passes when the exit status is the expected one:
 0 or 1 as the documented command returns today, 2 for bad input. A signal,
 a timeout or any other status fails the test.
 """
+import glob
 import os
 import subprocess
 import sys
@@ -20,7 +22,8 @@ import tempfile
 TIMEOUT_S = 120
 
 # (expected exit status, command). The first word names a binary under
-# BUILD_DIR; "@SRC/" expands to SOURCE_DIR.
+# BUILD_DIR, or is "python3"; "@SRC/" expands to SOURCE_DIR, and a word
+# with a "*" expands to the matching files in the scratch directory.
 DOCUMENTED = [
     # ci.yml
     (0, "tools/dqme_sim --algo cao-singhal --n 9 --measure 200000 --trace-out=trace_dqme_sim.json"),
@@ -29,6 +32,9 @@ DOCUMENTED = [
     (0, "bench/e3_sync_delay --quick --check --json=critpath_e3_sync_delay_ci.json"),
     (0, "tools/dqme_trace --crit --json=trace_crit.json"),
     (0, "tools/dqme_check --selftest --report-out=check_selftest.json --flightrec-out=flightrec_selftest_"),
+    (0, "python3 @SRC/scripts/validate_trace.py flightrec_selftest_*.json"),
+    (1, "tools/dqme_explore --mutate lost-transfer --trace-out trace_lost_transfer.json --flightrec-out flightrec_lost_transfer.json"),
+    (0, "python3 @SRC/scripts/validate_trace.py trace_lost_transfer.json flightrec_lost_transfer.json"),
     (0, "tools/dqme_check --trace trace_dqme_sim.json --report-out=check_trace_sim.json"),
     (0, "tools/dqme_check --trace @SRC/tests/golden/trace_3site.json --report-out=check_trace_golden.json"),
     (0, "tools/dqme_check --preset smoke --report-out=check_smoke.json --flightrec-out=flightrec_smoke.json"),
@@ -153,9 +159,16 @@ BAD = [
 
 
 def run(build, src, workdir, expected, command):
-    words = command.replace("@SRC/", src + "/").split()
-    words = ["" if w == "''" else w for w in words]
-    argv = [os.path.join(build, words[0])] + words[1:]
+    words = []
+    for w in command.replace("@SRC/", src + "/").split():
+        if "*" in w:
+            words += sorted(glob.glob(os.path.join(workdir, w))) or [w]
+        else:
+            words.append("" if w == "''" else w)
+    if words[0] == "python3":
+        argv = [sys.executable] + words[1:]
+    else:
+        argv = [os.path.join(build, words[0])] + words[1:]
     try:
         p = subprocess.run(argv, cwd=workdir, stdout=subprocess.DEVNULL,
                            stderr=subprocess.PIPE, timeout=TIMEOUT_S)

@@ -7,7 +7,7 @@
 #include "core/cao_singhal.h"
 #include "core/failure_detector.h"
 #include "harness/experiment.h"
-#include "net/trace.h"
+#include "obs/event_log.h"
 #include "quorum/factory.h"
 
 namespace dqme {
@@ -115,10 +115,10 @@ TEST(Contracts, UnknownAlgorithmNameIsRejected) {
   EXPECT_THROW(mutex::algo_from_string("paxos"), CheckError);
 }
 
-TEST(Contracts, TraceRecorderRejectsZeroCapacity) {
+TEST(Contracts, EventLogRejectsZeroCapacity) {
   sim::Simulator sim;
   net::Network net(sim, 2, std::make_unique<net::ConstantDelay>(10), 1);
-  EXPECT_THROW(net::TraceRecorder t(net, 0), CheckError);
+  EXPECT_THROW(obs::EventLog log(net, 0), CheckError);
 }
 
 TEST(Contracts, FailureDetectorValidatesVictims) {

@@ -7,7 +7,7 @@
 #include <sstream>
 
 #include "net/network.h"
-#include "net/trace.h"
+#include "obs/event_log.h"
 #include "verify/explorer.h"
 
 namespace dqme::verify {
@@ -277,7 +277,7 @@ TEST(Explorer, ReplayToleratesInapplicableActions) {
   EXPECT_EQ(world->violations(), 0u);
 }
 
-// Regression for the TraceRecorder/payload-pool interaction: a recorded
+// Regression for the event-log/payload-pool interaction: a recorded
 // Message must not retain its payload handle, because the pool slot is
 // recycled the moment the delivery handler returns — and under the
 // explorer's out-of-order delivery the recycled slot backs an arbitrary
@@ -304,12 +304,12 @@ TEST(Explorer, OutOfRangeCrashSiteIsRejected) {
   }
 }
 
-TEST(TraceRecorderControlled, SeversPayloadsAndPoolStaysBounded) {
+TEST(EventLogControlled, SeversPayloadsAndPoolStaysBounded) {
   sim::Simulator sim;
   net::Network net(sim, 3, std::make_unique<net::ConstantDelay>(1), 1);
   KvReader reader(net);
   for (SiteId i = 0; i < 3; ++i) net.attach(i, &reader);
-  net::TraceRecorder trace(net);
+  obs::EventLog trace(net);
   net.set_controlled(true);
 
   const auto send_kv = [&](SiteId src, SiteId dst, int64_t value) {
@@ -335,7 +335,7 @@ TEST(TraceRecorderControlled, SeversPayloadsAndPoolStaysBounded) {
   // Slots recycle: nine payloads shipped, but never more than three live.
   EXPECT_LE(net.payload_pool_size(), 3u);
   ASSERT_EQ(trace.events().size(), 9u);
-  for (const net::TraceEvent& e : trace.events())
+  for (const obs::Event& e : trace.events())
     EXPECT_EQ(e.msg.payload, net::kNoPayload);
 }
 

@@ -1,8 +1,7 @@
 // Tests for the black-box flight recorder (obs/flight_recorder.h): the
-// bounded ring wraps and keeps the newest history, the checker wiring
-// auto-dumps on the first violation with the violating event at the dump's
-// tail, and the Network attach mode records deliveries with payload
-// handles severed.
+// bounded ring wraps and keeps the newest history, and the checker — its
+// one feeding path — forwards deliveries and crashes and auto-dumps on the
+// first violation with the violating event at the dump's tail.
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -50,10 +49,10 @@ TEST(FlightRecorder, RingWrapsKeepingNewestOldestFirst) {
   FlightRecorder fr(4);
   EXPECT_EQ(fr.capacity(), 4u);
   for (Time t = 0; t < 7; ++t)
-    fr.record_message(
+    fr.record(Event::delivery(
         scripted(net::MsgType::kRequest,
                  ReqId{static_cast<SeqNum>(t + 1), 1}, 1, 0, t),
-        kLock0, t);
+        kLock0, t));
   EXPECT_EQ(fr.size(), 4u);
   EXPECT_EQ(fr.recorded(), 7u);
   const auto events = fr.events();
@@ -61,27 +60,14 @@ TEST(FlightRecorder, RingWrapsKeepingNewestOldestFirst) {
   // Oldest three fell off the ring; survivors come back oldest-first.
   for (size_t i = 0; i < 4; ++i) {
     EXPECT_EQ(events[i].at, static_cast<Time>(i + 3));
-    EXPECT_EQ(events[i].kind, FlightRecorder::Kind::kDeliver);
+    EXPECT_EQ(events[i].kind, EventKind::kDeliver);
   }
   EXPECT_THROW(FlightRecorder(0), CheckError);
 }
 
-TEST(FlightRecorder, RecordMessageSeversPayloadHandle) {
-  // Payload handles die at delivery (the Network recycles the pooled slot),
-  // so a retained ring copy must not carry one.
-  FlightRecorder fr(4);
-  net::Message m = scripted(net::MsgType::kToken, ReqId{1, 0}, 0, 1, 5);
-  m.payload = 42;
-  fr.record_message(m, kLock0, 9);
-  const auto events = fr.events();
-  ASSERT_EQ(events.size(), 1u);
-  EXPECT_EQ(events[0].msg.payload, net::kNoPayload);
-  EXPECT_EQ(events[0].site, 1);  // delivery is filed on the receiver's lane
-}
-
 TEST(FlightRecorder, DumpToBadPathFailsSoftly) {
   FlightRecorder fr(4);
-  fr.record_crash(0, 1);
+  fr.record(Event::crash(0, 1));
   EXPECT_FALSE(fr.dump_to("/nonexistent-dir/flightrec.json"));
   // Auto-dump to an unopenable path must not throw either.
   fr.set_dump_path("/nonexistent-dir/flightrec.json");
@@ -130,7 +116,7 @@ TEST(FlightRecorder, CheckerViolationAutoDumpsWithViolationAtTail) {
   std::remove(path.c_str());
 }
 
-TEST(FlightRecorder, AttachRecordsDeliveriesAndCrashes) {
+TEST(FlightRecorder, CheckerForwardsDeliveriesAndCrashes) {
   struct Sink final : net::NetSite {
     void on_message(const net::Message&, LockId) override {}
   };
@@ -139,17 +125,22 @@ TEST(FlightRecorder, AttachRecordsDeliveriesAndCrashes) {
   Sink a, b;
   net.attach(0, &a);
   net.attach(1, &b);
+  obs::InvariantChecker ck(net, {});
   FlightRecorder fr(8);
-  fr.attach(net);
-  net.send(0, 1, net::make_request(ReqId{1, 0}), LockId{5});
+  ck.set_flight_recorder(&fr);
+  net::Message m = net::make_request(ReqId{1, 0});
+  net.attach_kv(m);  // a payload handle the ring must not keep
+  net.send(0, 1, m, LockId{5});
   sim.run();
   net.crash(1);
   const auto events = fr.events();
   ASSERT_EQ(events.size(), 2u);
-  EXPECT_EQ(events[0].kind, FlightRecorder::Kind::kDeliver);
+  EXPECT_EQ(events[0].kind, EventKind::kDeliver);
   EXPECT_EQ(events[0].at, 10);
   EXPECT_EQ(events[0].lock, 5);
-  EXPECT_EQ(events[1].kind, FlightRecorder::Kind::kCrash);
+  EXPECT_EQ(events[0].site, 1);  // delivery is filed on the receiver's lane
+  EXPECT_EQ(events[0].msg.payload, net::kNoPayload);
+  EXPECT_EQ(events[1].kind, EventKind::kCrash);
   EXPECT_EQ(events[1].site, 1);
 }
 

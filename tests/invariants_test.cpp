@@ -9,6 +9,7 @@
 #include "mutex/factory.h"
 #include "obs/invariants.h"
 #include "obs/model.h"
+#include "obs/event_log.h"
 #include "obs/span.h"
 #include "quorum/factory.h"
 #include "test_util.h"
@@ -305,11 +306,11 @@ TEST(InvariantChecker, StaleGrantAfterRecoveryIsNotAViolation) {
 
 // Cao–Singhal on a 9-site grid (constant T=1000, closed loop, E=100, 20 CS
 // per site, seed 3), run to quiescence under the checker, with a
-// SpanRecorder subscribed before or after it.
+// event log subscribed before or after it.
 struct OrderedRun {
   uint64_t checks = 0;
   uint64_t violations = 0;
-  size_t span_events = 0;
+  size_t events = 0;
   uint64_t completed = 0;
 };
 
@@ -326,10 +327,10 @@ OrderedRun run_with_recorder(bool recorder_first) {
     net.attach(i, sites.back().get());
     raw.push_back(sites.back().get());
   }
-  std::unique_ptr<obs::SpanRecorder> spans;
+  std::unique_ptr<obs::EventLog> log;
   auto attach_recorder = [&] {
-    spans = std::make_unique<obs::SpanRecorder>(net);
-    spans->attach_all(sites);
+    log = std::make_unique<obs::EventLog>(net);
+    log->attach_all(sites);
   };
   if (recorder_first) attach_recorder();
   obs::InvariantChecker checker(net);
@@ -345,7 +346,7 @@ OrderedRun run_with_recorder(bool recorder_first) {
   wl.start();
   sim.run();
   checker.finish(sim.now());
-  return {checker.checks(), checker.violations(), spans->events().size(),
+  return {checker.checks(), checker.violations(), log->events().size(),
           wl.demands_completed()};
 }
 
@@ -359,8 +360,8 @@ TEST(InvariantChecker, SeesTheSameRunWhateverTheAttachOrder) {
   EXPECT_EQ(before.violations, 0u);
   EXPECT_EQ(before.checks, after.checks);
   EXPECT_EQ(before.violations, after.violations);
-  EXPECT_EQ(before.span_events, after.span_events);
-  EXPECT_GT(before.span_events, 0u);
+  EXPECT_EQ(before.events, after.events);
+  EXPECT_GT(before.events, 0u);
 }
 
 // ------------------------------------------------------------ model gauges

@@ -280,14 +280,14 @@ TEST(Sweep, SharedCaptureAcrossConfigsIsRejected) {
   cfg.n = 9;
   cfg.warmup = 1'000;
   cfg.measure = 10'000;
-  RunCapture cap;
+  Recording cap;
   cfg.capture = &cap;
   auto grid = harness::expand_seeds(cfg, 2);
   EXPECT_THROW(harness::SweepRunner().run(grid), CheckError);
   // A single config with a capture is the supported recording path.
   grid.resize(1);
   EXPECT_NO_THROW(harness::SweepRunner().run(grid));
-  EXPECT_GT(cap.messages.size(), 0u);
+  EXPECT_GT(cap.events.size(), 0u);
 }
 
 }  // namespace

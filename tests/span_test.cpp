@@ -1,17 +1,13 @@
-// Causal span tests — the observable version of the paper's Table 1.
-//
-// Two sites on a 3x3 grid (2 and 7, overlapping at arbiters {1, 8}) ping-
-// pong the critical section under constant delay T. From the recorded span
-// edges alone we assert the paper's headline: the proposed algorithm hands
-// the CS off in exactly 1·T — via a proxy-forwarded reply from the exiting
-// holder — while Maekawa's release→arbiter→reply relay takes exactly 2·T,
-// under the same request schedule.
+// Causal span tests: span ids, edge classification, and one request's
+// story read off the event log. The paper's Table 1 handoff (1·T proxied
+// vs Maekawa's 2·T relay) is asserted causally in critpath_test.
 #include <gtest/gtest.h>
 
 #include <memory>
 
 #include "mutex/factory.h"
 #include "net/network.h"
+#include "obs/event_log.h"
 #include "obs/span.h"
 #include "quorum/factory.h"
 #include "sim/simulator.h"
@@ -20,31 +16,23 @@ namespace dqme::obs {
 namespace {
 
 constexpr Time kT = 1000;  // constant message delay
-// CS duration. Held LONGER than one delay on purpose: the paper's 1·T
-// handoff needs the exiting holder to already know who is next, i.e. the
-// arbiter's transfer must arrive before the exit. In this closed loop the
-// transfer lands E + 2T after the previous entry while the exit happens at
-// E + T + E, so E >= T makes every contended handoff proxy-eligible (with
-// E < T the direction whose transfer is still in flight degrades to the
-// 2·T arbiter relay — observable, but not the invariant under test).
-constexpr Time kE = 2 * kT;
+constexpr Time kE = 2 * kT;  // CS duration (the Table-1 ping-pong shape)
 
 struct Rig {
   explicit Rig(mutex::Algo algo, int n = 9)
       : net(sim, n, std::make_unique<net::ConstantDelay>(kT), 1),
-        spans(net),
+        log(net),
         quorums(quorum::make_quorum_system("grid", n)) {
     for (SiteId i = 0; i < n; ++i) {
       sites.push_back(
           mutex::make_site(algo, i, net, quorums.get(), mutex::AlgoOptions{}));
       net.attach(i, sites.back().get());
-      spans.attach(*sites.back());
+      log.attach(*sites.back());
     }
   }
 
   // Closed loop: hold for kE, release, immediately re-request, `rounds`
-  // times. Both drivers start at t=0, so the two schedules are identical
-  // across algorithms (same sites, same instants, same CS durations).
+  // times, starting at t=0.
   void drive(SiteId id, int rounds) {
     auto* s = sites[static_cast<size_t>(id)].get();
     auto remaining = std::make_shared<int>(rounds);
@@ -59,115 +47,18 @@ struct Rig {
 
   sim::Simulator sim;
   net::Network net;
-  SpanRecorder spans;
+  EventLog log;
   std::unique_ptr<quorum::QuorumSystem> quorums;
   std::vector<std::unique_ptr<mutex::MutexSite>> sites;
 };
 
-std::vector<Handoff> run_pingpong(mutex::Algo algo, int rounds = 6) {
-  Rig rig(algo);
-  rig.drive(2, rounds);
-  rig.drive(7, rounds);
-  rig.sim.run();
-  // Both sites finished every round: 2 * rounds entries.
-  size_t enters = 0;
-  for (const SpanEvent& e : rig.spans.events())
-    if (e.edge == SpanEdge::kEnter) ++enters;
-  EXPECT_EQ(enters, static_cast<size_t>(2 * rounds));
-  return rig.spans.contended_handoffs();
-}
-
-TEST(SpanHandoff, CaoSinghalContendedHandoffIsExactlyOneT) {
-  const auto handoffs = run_pingpong(mutex::Algo::kCaoSinghal);
-  ASSERT_GE(handoffs.size(), 8u);
-  for (const Handoff& h : handoffs) {
-    EXPECT_EQ(h.enter_at - h.exit_at, kT)
-        << "handoff " << h.from << "->" << h.to << " at " << h.exit_at;
-    EXPECT_TRUE(h.proxied) << "handoff at " << h.exit_at
-                           << " was not proxy-forwarded";
-    EXPECT_NE(h.from, h.to);
-  }
-}
-
-TEST(SpanHandoff, MaekawaContendedHandoffIsExactlyTwoT) {
-  const auto handoffs = run_pingpong(mutex::Algo::kMaekawa);
-  ASSERT_GE(handoffs.size(), 8u);
-  for (const Handoff& h : handoffs) {
-    EXPECT_EQ(h.enter_at - h.exit_at, 2 * kT)
-        << "handoff " << h.from << "->" << h.to << " at " << h.exit_at;
-    EXPECT_FALSE(h.proxied);
-  }
-}
-
-TEST(SpanHandoff, SameScheduleDelayRatioIsTwo) {
-  const auto cao = run_pingpong(mutex::Algo::kCaoSinghal);
-  const auto mae = run_pingpong(mutex::Algo::kMaekawa);
-  ASSERT_FALSE(cao.empty());
-  ASSERT_FALSE(mae.empty());
-  auto mean_gap = [](const std::vector<Handoff>& hs) {
-    double sum = 0;
-    for (const Handoff& h : hs)
-      sum += static_cast<double>(h.enter_at - h.exit_at);
-    return sum / static_cast<double>(hs.size());
-  };
-  EXPECT_DOUBLE_EQ(mean_gap(mae) / mean_gap(cao), 2.0);
-}
-
-// The causal decomposition behind the numbers. Proposed: the entering
-// span's grant is a kProxyGrant that LEFT THE EXITING HOLDER at the exit
-// instant and arrived one delay later — no arbiter on the critical path.
-TEST(SpanEdges, ProxyGrantLeavesTheExitingHolderAtExitTime) {
-  Rig rig(mutex::Algo::kCaoSinghal);
-  rig.drive(2, 4);
-  rig.drive(7, 4);
-  rig.sim.run();
-  const auto handoffs = rig.spans.contended_handoffs();
-  ASSERT_FALSE(handoffs.empty());
-  for (const Handoff& h : handoffs) {
-    bool found = false;
-    for (const SpanEvent& e : rig.spans.span(h.span)) {
-      if (e.edge == SpanEdge::kProxyGrant && e.from == h.from &&
-          e.sent_at == h.exit_at && e.at == h.exit_at + kT) {
-        found = true;
-        EXPECT_NE(e.arbiter, e.from);  // forwarded on the arbiter's behalf
-      }
-    }
-    EXPECT_TRUE(found) << "no proxy grant from site " << h.from
-                       << " sent at exit " << h.exit_at;
-  }
-}
-
-// Maekawa: the same handoff decomposes into release (exiter -> arbiter,
-// one T) followed by grant (arbiter -> enterer, another T) — the serial
-// two-hop relay the paper's §5.2 comparison charges 2T for.
-TEST(SpanEdges, MaekawaHandoffIsReleaseThenGrantThroughTheArbiter) {
-  Rig rig(mutex::Algo::kMaekawa);
-  rig.drive(2, 4);
-  rig.drive(7, 4);
-  rig.sim.run();
-  const auto handoffs = rig.spans.contended_handoffs();
-  ASSERT_FALSE(handoffs.empty());
-  for (const Handoff& h : handoffs) {
-    // Hop 2: a grant from an arbiter, sent one T after exit, arriving at
-    // the enterer at exactly the entry instant.
-    SiteId arbiter = kNoSite;
-    for (const SpanEvent& e : rig.spans.span(h.span))
-      if (e.edge == SpanEdge::kGrant && e.sent_at == h.exit_at + kT &&
-          e.at == h.enter_at)
-        arbiter = e.from;
-    ASSERT_NE(arbiter, kNoSite)
-        << "no arbiter grant completing the entry at " << h.enter_at;
-    // Hop 1: the exiter's release reaching that same arbiter at exit + T.
-    bool release_found = false;
-    for (const SpanEvent& e : rig.spans.events())
-      if (e.edge == SpanEdge::kRelease && e.from == h.from &&
-          e.to == arbiter && e.sent_at == h.exit_at &&
-          e.at == h.exit_at + kT)
-        release_found = true;
-    EXPECT_TRUE(release_found)
-        << "no release from " << h.from << " to arbiter " << arbiter
-        << " sent at exit " << h.exit_at;
-  }
+// One request's story: its span edges and the deliveries that carry its
+// span, in recording (= causal) order.
+std::vector<Event> story(const Rig& rig, SpanId span) {
+  std::vector<Event> out;
+  for (const Event& e : rig.log.events())
+    if (e.span == span) out.push_back(e);
+  return out;
 }
 
 TEST(SpanEdges, SpanThreadsFromIssueToExitInCausalOrder) {
@@ -175,30 +66,47 @@ TEST(SpanEdges, SpanThreadsFromIssueToExitInCausalOrder) {
   rig.drive(2, 2);
   rig.drive(7, 2);
   rig.sim.run();
-  const auto handoffs = rig.spans.contended_handoffs();
-  ASSERT_FALSE(handoffs.empty());
-  const auto story = rig.spans.span(handoffs.front().span);
-  ASSERT_GE(story.size(), 4u);
-  EXPECT_EQ(story.front().edge, SpanEdge::kIssue);
+  ASSERT_FALSE(rig.log.events().empty());
+  const std::vector<Event> s = story(rig, rig.log.events().front().span);
+  ASSERT_GE(s.size(), 4u);
+  EXPECT_EQ(edge_of(s.front()), SpanEdge::kIssue);
   // Wire edges in the story carry the one-delay flight time. Self-sends
   // (a site is a member of its own quorum) are delivered locally at the
   // send instant and carry none.
   bool saw_request = false;
-  for (const SpanEvent& e : story)
-    if (e.edge == SpanEdge::kRequest && e.from != e.to) {
+  for (const Event& e : s)
+    if (edge_of(e) == SpanEdge::kRequest && e.msg.src != e.site) {
       saw_request = true;
-      EXPECT_EQ(e.at - e.sent_at, kT);
+      EXPECT_EQ(e.at - e.msg.sent_at, kT);
     }
   EXPECT_TRUE(saw_request);
   // enter precedes exit, and both belong to the same site.
   Time enter_at = -1, exit_at = -1;
-  for (const SpanEvent& e : story) {
-    if (e.edge == SpanEdge::kEnter) enter_at = e.at;
-    if (e.edge == SpanEdge::kExit) exit_at = e.at;
+  for (const Event& e : s) {
+    if (e.kind == EventKind::kEnter) enter_at = e.at;
+    if (e.kind == EventKind::kExit) exit_at = e.at;
   }
   ASSERT_GE(enter_at, 0);
   ASSERT_GE(exit_at, 0);
   EXPECT_EQ(exit_at - enter_at, kE);
+}
+
+// A reply is a grant from its arbiter and a proxy grant from anyone else;
+// deliveries that advance no span, and crashes, are plain messages.
+TEST(SpanEdges, EdgeOfClassifiesEveryEvent) {
+  net::Message direct = net::make_reply(1, ReqId{1, 2});
+  direct.src = 1;
+  net::Message forwarded = direct;
+  forwarded.src = 7;
+  EXPECT_EQ(edge_of(Event::delivery(direct, kLock0, 0)), SpanEdge::kGrant);
+  EXPECT_EQ(edge_of(Event::delivery(forwarded, kLock0, 0)),
+            SpanEdge::kProxyGrant);
+  EXPECT_EQ(edge_of(Event::delivery(net::make_failure_notice(3), kLock0, 0)),
+            SpanEdge::kMessage);
+  EXPECT_EQ(edge_of(Event::crash(3, 0)), SpanEdge::kMessage);
+  EXPECT_EQ(edge_of(Event::edge(EventKind::kExit, 2, kLock0, 5, 0)),
+            SpanEdge::kExit);
+  EXPECT_EQ(to_string(SpanEdge::kProxyGrant), "proxy_grant");
 }
 
 TEST(SpanIds, FormatAndParseRoundTrip) {

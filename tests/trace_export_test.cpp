@@ -17,8 +17,8 @@
 
 #include "net/network.h"
 #include "mutex/factory.h"
-#include "net/trace.h"
 #include "obs/chrome_trace.h"
+#include "obs/event_log.h"
 #include "obs/span.h"
 #include "quorum/factory.h"
 #include "sim/simulator.h"
@@ -141,15 +141,14 @@ std::string field(const std::string& line, const std::string& key) {
 std::string render_tiny_trace() {
   sim::Simulator sim;
   net::Network net(sim, 3, std::make_unique<net::ConstantDelay>(1000), 1);
-  net::TraceRecorder messages(net);
-  SpanRecorder spans(net);
+  EventLog log(net);
   auto quorums = quorum::make_quorum_system("grid", 3);
   std::vector<std::unique_ptr<mutex::MutexSite>> sites;
   for (SiteId i = 0; i < 3; ++i) {
     sites.push_back(mutex::make_site(mutex::Algo::kCaoSinghal, i, net,
                                      quorums.get(), mutex::AlgoOptions{}));
     net.attach(i, sites.back().get());
-    spans.attach(*sites.back());
+    log.attach(*sites.back());
   }
   for (SiteId id : {SiteId{0}, SiteId{2}}) {
     auto* s = sites[static_cast<size_t>(id)].get();
@@ -164,13 +163,8 @@ std::string render_tiny_trace() {
   }
   sim.run();
 
-  ChromeTraceData data;
-  data.n_sites = 3;
-  data.label = "trace_export_test cao-singhal N=3";
-  data.messages = messages.events();
-  data.span_events = spans.events();
   std::ostringstream os;
-  write_chrome_trace(os, data);
+  write_chrome_trace(os, log.take("trace_export_test cao-singhal N=3"));
   return os.str();
 }
 
@@ -248,38 +242,63 @@ TEST(ChromeTrace, SpanFilterKeepsOnlyThatSpansEvents) {
   // span-tagged event left must carry it.
   sim::Simulator sim;
   net::Network net(sim, 3, std::make_unique<net::ConstantDelay>(1000), 1);
-  net::TraceRecorder messages(net);
-  SpanRecorder spans(net);
+  EventLog log(net);
   auto quorums = quorum::make_quorum_system("grid", 3);
   std::vector<std::unique_ptr<mutex::MutexSite>> sites;
   for (SiteId i = 0; i < 3; ++i) {
     sites.push_back(mutex::make_site(mutex::Algo::kCaoSinghal, i, net,
                                      quorums.get(), mutex::AlgoOptions{}));
     net.attach(i, sites.back().get());
-    spans.attach(*sites.back());
+    log.attach(*sites.back());
   }
   sites[0]->on_enter = [&](SiteId, LockId) {
     sim.schedule_after(100, [&] { sites[0]->release_cs(kLock0); });
   };
   sites[0]->request_cs(kLock0);
   sim.run();
-  ASSERT_FALSE(spans.events().empty());
-  const SpanId target = spans.events().front().span;
+  ASSERT_FALSE(log.events().empty());
+  const SpanId target = log.events().front().span;
   ASSERT_NE(target, kNoSpan);
 
-  ChromeTraceData data;
-  data.n_sites = 3;
-  data.messages = messages.events();
-  data.span_events = spans.events();
-  data.only_span = target;
+  ChromeTraceView view;
+  view.only_span = target;
   std::ostringstream os;
-  write_chrome_trace(os, data);
+  write_chrome_trace(os, log.recording(), view);
   const std::string expect_arg = "\"span\": \"" + format_span(target) + "\"";
   for (const std::string& l : event_lines(os.str())) {
     if (field(l, "ph") == "M") continue;  // lane metadata is unfiltered
     if (l.find("\"args\"") == std::string::npos) continue;
     EXPECT_NE(l.find(expect_arg), std::string::npos) << l;
   }
+}
+
+// Critical-path hops are tagged by their index in the recording. Two
+// messages of one piggybacked flight share every coordinate (sender,
+// receiver, send and delivery instants, lock); only the one the path walked
+// carries "crit": 1.
+TEST(ChromeTrace, CritTagFollowsTheRecordedHopNotItsFlightMate) {
+  net::Message reply = net::make_reply(2, ReqId{1, 3});
+  net::Message release = net::make_release(ReqId{1, 2}, ReqId{});
+  for (net::Message* m : {&reply, &release}) {
+    m->src = 2;
+    m->dst = 3;
+    m->sent_at = 5945;
+  }
+  Recording run;
+  run.n_sites = 4;
+  run.events = {Event::delivery(reply, kLock0, 6945),
+                Event::delivery(release, kLock0, 6945)};
+  ChromeTraceView view;
+  view.crit_events = {1};
+  std::ostringstream os;
+  write_chrome_trace(os, run, view);
+  int tagged = 0;
+  for (const std::string& l : event_lines(os.str())) {
+    if (l.find("\"crit\": 1") == std::string::npos) continue;
+    ++tagged;
+    EXPECT_EQ(field(l, "name"), "release") << l;
+  }
+  EXPECT_EQ(tagged, 4);  // both slices and both arrow endpoints
 }
 
 // Compares `text` with tests/golden/`name` (or rewrites the file under
@@ -321,13 +340,10 @@ TEST(ChromeTrace, LostTransferCounterexampleMatchesGoldens) {
   EXPECT_EQ(schedule.size(), 37u);
   const auto world = verify::replay_schedule(cfg.world, schedule, true);
 
-  ChromeTraceData data;
-  data.n_sites = cfg.world.n;
-  data.label = "dqme_explore counterexample (cao-singhal)";
-  data.messages = world->trace_recorder()->events();
-  data.span_events = world->span_recorder()->events();
+  Recording run = world->event_log()->recording();
+  run.label = "dqme_explore counterexample (cao-singhal)";
   std::ostringstream trace;
-  write_chrome_trace(trace, data);
+  write_chrome_trace(trace, run);
   expect_golden(trace.str(), "lost_transfer_trace.json");
 
   std::ostringstream dump;

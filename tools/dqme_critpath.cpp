@@ -30,6 +30,7 @@
 #include "harness/experiment.h"
 #include "net/network.h"
 #include "obs/critpath.h"
+#include "obs/event_log.h"
 #include "sim/simulator.h"
 
 namespace {
@@ -42,17 +43,12 @@ constexpr Time kE = 2 * kT; // CS duration; >= T keeps handoffs proxy-eligible
 // The span_test ping-pong rig: sites 2 and 7 of a 3x3 grid (overlapping
 // arbiters {1, 8}) alternate the CS in a closed loop — the deterministic
 // contended schedule behind the paper's Table 1 numbers.
-struct Scenario {
-  std::vector<obs::SpanEvent> events;
-  size_t enters = 0;
-};
-
-Scenario run_pingpong(mutex::Algo algo, int rounds) {
+std::vector<obs::Event> run_pingpong(mutex::Algo algo, int rounds) {
   sim::Simulator sim;
   net::Network net(sim, 9, std::make_unique<net::ConstantDelay>(kT), 1);
-  obs::SpanRecorder spans(net);
+  obs::EventLog log(net);
   const harness::Deployment dep(algo, 9, "grid", mutex::AlgoOptions{}, net);
-  spans.attach_all(dep.sites());
+  log.attach_all(dep.sites());
   auto drive = [&](SiteId id) {
     mutex::MutexSite* s = &dep.site(id);
     auto remaining = std::make_shared<int>(rounds);
@@ -67,11 +63,7 @@ Scenario run_pingpong(mutex::Algo algo, int rounds) {
   drive(2);
   drive(7);
   sim.run();
-  Scenario sc;
-  sc.events = spans.events();
-  for (const obs::SpanEvent& e : sc.events)
-    if (e.edge == obs::SpanEdge::kEnter) ++sc.enters;
-  return sc;
+  return log.take("").events;
 }
 
 obs::CritStats stats_of(const std::vector<obs::CritPath>& paths) {
@@ -113,10 +105,10 @@ bool check_table1(const std::string& name,
 int run_table1(bool json, const std::string& json_path, int rounds) {
   std::cout << "Table-1 conformance — identical ping-pong schedule "
                "(3x3 grid, T=1000, E=2T):\n";
-  const Scenario cao = run_pingpong(mutex::Algo::kCaoSinghal, rounds);
-  const Scenario mae = run_pingpong(mutex::Algo::kMaekawa, rounds);
-  const auto cao_paths = obs::extract_critical_paths(cao.events);
-  const auto mae_paths = obs::extract_critical_paths(mae.events);
+  const auto cao_paths = obs::extract_critical_paths(
+      run_pingpong(mutex::Algo::kCaoSinghal, rounds));
+  const auto mae_paths = obs::extract_critical_paths(
+      run_pingpong(mutex::Algo::kMaekawa, rounds));
   bool ok = check_table1("cao-singhal", cao_paths, 1);
   ok = check_table1("maekawa", mae_paths, 2) && ok;
   const obs::CritStats cao_cs = stats_of(cao_paths);
@@ -150,12 +142,12 @@ int run_table1(bool json, const std::string& json_path, int rounds) {
   return ok ? 0 : 1;
 }
 
-// --selftest: hand-built event streams where the correct path is known by
+// --selftest: hand-built event logs where the correct path is known by
 // construction, then the live Table-1 gate on both algorithms.
 int run_selftest() {
   using obs::CritBucket;
-  using obs::SpanEdge;
-  using obs::SpanEvent;
+  using obs::Event;
+  using obs::EventKind;
   int failures = 0;
   auto expect = [&](bool cond, const std::string& what) {
     if (!cond) {
@@ -165,18 +157,36 @@ int run_selftest() {
   };
   const SpanId h = span_of(ReqId{1, 7});
   const SpanId a = span_of(ReqId{1, 2});
+  // Fixture records: a span edge at one site, and a delivery of `m` from
+  // src to dst for `span`, sent at `sent` and delivered at `at`. A reply
+  // is a grant when src is its arbiter (1) and a proxy grant otherwise.
+  auto edge = [](Time at, EventKind kind, SpanId span, SiteId site,
+                 net::CauseId cause) {
+    return Event::edge(kind, site, kLock0, span, at, cause);
+  };
+  auto wire = [](Time at, Time sent, net::Message m, SpanId span, SiteId src,
+                 SiteId dst, net::CauseId cause) {
+    m.span = span;
+    m.sent_at = sent;
+    m.src = src;
+    m.dst = dst;
+    return Event::delivery(m, kLock0, at, cause);
+  };
+  const net::Message request = net::make_request(ReqId{});
+  const net::Message reply = net::make_reply(1, ReqId{});  // arbiter 1's
+  const net::Message release = net::make_release(ReqId{}, ReqId{});
 
   {
     // Fixture 1 — §3 proxy handoff, requester issued during the holder's
     // tenure: [holder][proxy], tail 1 hop = 1T.
-    std::vector<SpanEvent> ev{
-        {0, 0, SpanEdge::kIssue, h, 7, 7, kNoSite, kLock0, -1},
-        {0, 0, SpanEdge::kEnter, h, 7, 7, kNoSite, kLock0, 0},
-        {100, 100, SpanEdge::kIssue, a, 2, 2, kNoSite, kLock0, -1},
-        {1100, 100, SpanEdge::kRequest, a, 2, 1, 1, kLock0, 2},
-        {2000, 2000, SpanEdge::kExit, h, 7, 7, kNoSite, kLock0, -1},
-        {3000, 2000, SpanEdge::kProxyGrant, a, 7, 2, 1, kLock0, 4},
-        {3000, 3000, SpanEdge::kEnter, a, 2, 2, kNoSite, kLock0, 5},
+    std::vector<Event> ev{
+        edge(0, EventKind::kIssue, h, 7, -1),
+        edge(0, EventKind::kEnter, h, 7, 0),
+        edge(100, EventKind::kIssue, a, 2, -1),
+        wire(1100, 100, request, a, 2, 1, 2),
+        edge(2000, EventKind::kExit, h, 7, -1),
+        wire(3000, 2000, reply, a, 7, 2, 4),
+        edge(3000, EventKind::kEnter, a, 2, 5),
     };
     const auto paths = obs::extract_critical_paths(ev);
     expect(paths.size() == 2, "fixture1: two paths (holder + requester)");
@@ -196,15 +206,15 @@ int run_selftest() {
   {
     // Fixture 2 — Maekawa relay: exit -> release -> arbiter -> grant,
     // tail 2 wire hops = 2T.
-    std::vector<SpanEvent> ev{
-        {0, 0, SpanEdge::kIssue, h, 7, 7, kNoSite, kLock0, -1},
-        {0, 0, SpanEdge::kEnter, h, 7, 7, kNoSite, kLock0, 0},
-        {100, 100, SpanEdge::kIssue, a, 2, 2, kNoSite, kLock0, -1},
-        {1100, 100, SpanEdge::kRequest, a, 2, 1, 1, kLock0, 2},
-        {2000, 2000, SpanEdge::kExit, h, 7, 7, kNoSite, kLock0, -1},
-        {3000, 2000, SpanEdge::kRelease, h, 7, 1, 1, kLock0, 4},
-        {4000, 3000, SpanEdge::kGrant, a, 1, 2, 1, kLock0, 5},
-        {4000, 4000, SpanEdge::kEnter, a, 2, 2, kNoSite, kLock0, 6},
+    std::vector<Event> ev{
+        edge(0, EventKind::kIssue, h, 7, -1),
+        edge(0, EventKind::kEnter, h, 7, 0),
+        edge(100, EventKind::kIssue, a, 2, -1),
+        wire(1100, 100, request, a, 2, 1, 2),
+        edge(2000, EventKind::kExit, h, 7, -1),
+        wire(3000, 2000, release, h, 7, 1, 4),
+        wire(4000, 3000, reply, a, 1, 2, 5),
+        edge(4000, EventKind::kEnter, a, 2, 6),
     };
     const auto paths = obs::extract_critical_paths(ev);
     expect(paths.size() == 2, "fixture2: two paths");
@@ -220,14 +230,14 @@ int run_selftest() {
     // Fixture 3 — requester issued BEFORE the holder entered: the budget
     // below the holder segment is the request's own wire hop plus the
     // arbiter queue-wait. [wire][queue][holder][proxy].
-    std::vector<SpanEvent> ev{
-        {0, 0, SpanEdge::kIssue, a, 2, 2, kNoSite, kLock0, -1},
-        {1000, 0, SpanEdge::kRequest, a, 2, 1, 1, kLock0, 0},
-        {500, 500, SpanEdge::kIssue, h, 7, 7, kNoSite, kLock0, -1},
-        {1500, 1500, SpanEdge::kEnter, h, 7, 7, kNoSite, kLock0, -1},
-        {2500, 2500, SpanEdge::kExit, h, 7, 7, kNoSite, kLock0, -1},
-        {3500, 2500, SpanEdge::kProxyGrant, a, 7, 2, 1, kLock0, 4},
-        {3500, 3500, SpanEdge::kEnter, a, 2, 2, kNoSite, kLock0, 5},
+    std::vector<Event> ev{
+        edge(0, EventKind::kIssue, a, 2, -1),
+        wire(1000, 0, request, a, 2, 1, 0),
+        edge(500, EventKind::kIssue, h, 7, -1),
+        edge(1500, EventKind::kEnter, h, 7, -1),
+        edge(2500, EventKind::kExit, h, 7, -1),
+        wire(3500, 2500, reply, a, 7, 2, 4),
+        edge(3500, EventKind::kEnter, a, 2, 5),
     };
     const auto paths = obs::extract_critical_paths(ev);
     expect(paths.size() == 2, "fixture3: two paths");
@@ -245,9 +255,9 @@ int run_selftest() {
   {
     // Fixture 4 — broken chain (cause outside the window): the residue
     // must land in kOther, never vanish.
-    std::vector<SpanEvent> ev{
-        {0, 0, SpanEdge::kIssue, a, 2, 2, kNoSite, kLock0, -1},
-        {3000, 3000, SpanEdge::kEnter, a, 2, 2, kNoSite, kLock0, -1},
+    std::vector<Event> ev{
+        edge(0, EventKind::kIssue, a, 2, -1),
+        edge(3000, EventKind::kEnter, a, 2, -1),
     };
     const auto paths = obs::extract_critical_paths(ev);
     expect(paths.size() == 1, "fixture4: one path");
@@ -286,8 +296,7 @@ int main(int argc, char** argv) {
   if (selftest) return run_selftest();
   if (table1) return run_table1(json, json_path, rounds);
 
-  const Scenario sc = run_pingpong(algo, rounds);
-  auto paths = obs::extract_critical_paths(sc.events);
+  auto paths = obs::extract_critical_paths(run_pingpong(algo, rounds));
   const obs::CritStats cs = stats_of(paths);
 
   if (json) {

@@ -374,21 +374,12 @@ bool write_violation_artifacts(const Options& opt,
     auto world =
         verify::replay_schedule(opt.explorer.world, v.schedule, true);
     if (!opt.trace_out.empty()) {
-      obs::ChromeTraceData data;
-      data.n_sites = opt.explorer.world.n;
-      data.label =
-          "dqme_explore counterexample (" +
-          std::string(mutex::to_string(opt.explorer.world.algo)) + ")";
-      data.messages = world->trace_recorder()->events();
-      data.span_events = world->span_recorder()->events();
-      std::ofstream f(opt.trace_out);
-      if (!f) {
-        std::cerr << "cannot write " << opt.trace_out << "\n";
+      obs::Recording run = world->event_log()->recording();
+      run.label = "dqme_explore counterexample (" +
+                  std::string(mutex::to_string(opt.explorer.world.algo)) +
+                  ")";
+      if (!obs::write_chrome_trace(opt.trace_out, run, std::cout))
         return false;
-      }
-      obs::write_chrome_trace(f, data);
-      std::cout << "[trace] wrote " << opt.trace_out << " ("
-                << data.messages.size() << " messages)\n";
     }
     if (!opt.flightrec_out.empty()) {
       // The replayed World wires its checker into the capture-mode flight

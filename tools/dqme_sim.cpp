@@ -196,19 +196,9 @@ int replay_schedule_main(const std::string& path,
   for (const std::string& r : world->reports()) std::cout << "  " << r
                                                           << "\n";
   if (capture) {
-    obs::ChromeTraceData data;
-    data.n_sites = cfg.n;
-    data.label = "replay of " + path;
-    data.messages = world->trace_recorder()->events();
-    data.span_events = world->span_recorder()->events();
-    std::ofstream f(trace_out);
-    if (!f) {
-      std::cerr << "cannot write " << trace_out << "\n";
-      return 2;
-    }
-    obs::write_chrome_trace(f, data);
-    std::cout << "[trace] wrote " << trace_out << " ("
-              << data.messages.size() << " messages)\n";
+    obs::Recording run = world->event_log()->recording();
+    run.label = "replay of " + path;
+    if (!obs::write_chrome_trace(trace_out, run, std::cout)) return 2;
   }
   std::cout << (world->violations() == 0
                     ? "OK: schedule replays clean.\n"
@@ -268,7 +258,7 @@ int main(int argc, char** argv) try {
 
   if (!replay_schedule.empty())
     return replay_schedule_main(replay_schedule, trace_out);
-  obs::RunCapture cap;
+  obs::Recording cap;
   if (!trace_out.empty()) cfg.capture = &cap;
   if (cfg.workload.mode == harness::Workload::Config::Mode::kOpen)
     harness::set_open_load(cfg, rate);
@@ -321,20 +311,8 @@ int main(int argc, char** argv) try {
   out.print(std::cout);
 
   if (!trace_out.empty()) {
-    obs::ChromeTraceData data;
-    data.n_sites = cap.n_sites;
-    data.label = cap.label;
-    data.messages = std::move(cap.messages);
-    data.span_events = std::move(cap.span_events);
-    std::ofstream f(trace_out);
-    if (!f) {
-      std::cerr << "cannot write " << trace_out << "\n";
-      return 2;
-    }
-    obs::write_chrome_trace(f, data);
-    std::cout << "\n[trace] wrote " << trace_out << " ("
-              << data.messages.size() << " messages, "
-              << data.span_events.size() << " span events)\n";
+    std::cout << "\n";
+    if (!obs::write_chrome_trace(trace_out, cap, std::cout)) return 2;
   }
 
   const bool ok = r.summary.violations == 0 && r.drained_clean;

@@ -28,6 +28,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -36,9 +37,9 @@
 #include "harness/deployment.h"
 #include "harness/workload.h"
 #include "net/network.h"
-#include "net/trace.h"
 #include "obs/chrome_trace.h"
 #include "obs/critpath.h"
+#include "obs/event_log.h"
 
 namespace {
 
@@ -268,21 +269,12 @@ int main(int argc, char** argv) {
 
   sim::Simulator sim;
   net::Network net(sim, n, std::make_unique<net::ConstantDelay>(1000), seed);
-  net::TraceRecorder trace(net);
-  obs::SpanRecorder spans(net);
+  obs::EventLog log(net);
   mutex::AlgoOptions opts;
   opts.num_locks = num_locks;
   const harness::Deployment dep(mutex::Algo::kCaoSinghal, n, "grid", opts,
                                 net);
-  spans.attach_all(dep.sites());
-
-  // Annotate CS entries/exits inline with the message flow.
-  struct Annotation {
-    Time at;
-    LockId lock;
-    std::string what;
-  };
-  std::vector<Annotation> marks;
+  log.attach_all(dep.sites());
 
   harness::Workload::Config wc;
   wc.mode = harness::Workload::Config::Mode::kClosed;
@@ -292,17 +284,6 @@ int main(int argc, char** argv) {
   wc.seed = seed;
   wc.num_locks = num_locks;
   harness::Workload wl(sim, dep.sites(), wc, nullptr);
-  for (mutex::MutexSite* s : dep.sites()) {
-    auto inner = s->on_enter;
-    s->on_enter = [&, inner, s](SiteId id, LockId lock) {
-      std::string what =
-          "site " + std::to_string(id) + " ENTERS the critical section";
-      if (num_locks > 1) what += " [lock " + std::to_string(lock) + "]";
-      what += " [span " + obs::format_span(s->active_span(lock)) + "]";
-      marks.push_back({sim.now(), lock, std::move(what)});
-      inner(id, lock);
-    };
-  }
   wl.start();
   sim.run();
 
@@ -311,7 +292,7 @@ int main(int argc, char** argv) {
   // event indices the Chrome export tags with "crit": 1.
   std::vector<int32_t> crit_events;
   if (crit) {
-    const auto paths = obs::extract_critical_paths(spans.events());
+    const auto paths = obs::extract_critical_paths(log.events());
     const obs::CritPath* pick = nullptr;
     for (const obs::CritPath& p : paths) {
       if (only_span != kNoSpan && p.span != only_span) continue;
@@ -336,28 +317,14 @@ int main(int argc, char** argv) {
   }
 
   if (json) {
-    obs::ChromeTraceData data;
-    data.n_sites = n;
-    data.label = "dqme_trace cao-singhal N=" + std::to_string(n) +
-                 " seed=" + std::to_string(seed);
-    data.messages = trace.events();
-    data.span_events = spans.events();
-    data.only_span = only_span;
-    data.only_lock = only_lock;
-    data.crit_events = crit_events;
-    if (json_path.empty()) {
-      obs::write_chrome_trace(std::cout, data);
-    } else {
-      std::ofstream f(json_path);
-      if (!f) {
-        std::cerr << "cannot write " << json_path << "\n";
-        return 2;
-      }
-      obs::write_chrome_trace(f, data);
-      std::cout << "[trace] wrote " << json_path << " ("
-                << data.messages.size() << " messages, "
-                << data.span_events.size() << " span events)\n";
-    }
+    const obs::Recording run =
+        log.take("dqme_trace cao-singhal N=" + std::to_string(n) +
+                 " seed=" + std::to_string(seed));
+    const obs::ChromeTraceView view{only_span, only_lock, crit_events};
+    if (json_path.empty())
+      obs::write_chrome_trace(std::cout, run, view);
+    else if (!obs::write_chrome_trace(json_path, run, std::cout, view))
+      return 2;
     return 0;
   }
 
@@ -380,32 +347,40 @@ int main(int argc, char** argv) {
     std::cout << "(showing only lock " << only_lock << ")\n";
   std::cout << '\n';
 
+  // The log's entries annotate the message flow inline: each prints before
+  // the first delivery that does not precede it.
+  std::vector<const obs::Event*> enters;
+  size_t recorded = 0;
+  for (const obs::Event& e : log.events()) {
+    if (e.kind == obs::EventKind::kEnter) enters.push_back(&e);
+    recorded += e.delivered() ? 1 : 0;
+  }
   size_t shown = 0;
-  size_t next_mark = 0;
-  const auto keep_mark = [&](const Annotation& m) {
-    return only_lock == kNoLock || m.lock == only_lock;
-  };
-  for (const net::TraceEvent& e : trace.events()) {
-    while (next_mark < marks.size() && marks[next_mark].at <= e.at) {
-      if (keep_mark(marks[next_mark]))
-        std::cout << "           >>> " << marks[next_mark].what << '\n';
-      ++next_mark;
+  size_t next_enter = 0;
+  const auto print_enters_until = [&](Time until) {
+    for (; next_enter < enters.size() && enters[next_enter]->at <= until;
+         ++next_enter) {
+      const obs::Event& e = *enters[next_enter];
+      if (only_lock != kNoLock && e.lock != only_lock) continue;
+      std::cout << "           >>> site " << e.site
+                << " ENTERS the critical section";
+      if (num_locks > 1) std::cout << " [lock " << e.lock << "]";
+      std::cout << " [span " << obs::format_span(e.span) << "]\n";
     }
-    if (only_span != kNoSpan && e.msg.span != only_span) continue;
+  };
+  for (const obs::Event& e : log.events()) {
+    if (!e.delivered()) continue;
+    print_enters_until(e.at);
+    if (only_span != kNoSpan && e.span != only_span) continue;
     if (only_lock != kNoLock && e.lock != only_lock) continue;
     std::cout.width(10);
     std::cout << e.at << "  " << e.msg;
     if (num_locks > 1) std::cout << "  [lock " << e.lock << "]";
-    std::cout << "  [span " << obs::format_span(e.msg.span) << "]\n";
+    std::cout << "  [span " << obs::format_span(e.span) << "]\n";
     ++shown;
   }
-  while (next_mark < marks.size()) {
-    if (keep_mark(marks[next_mark]))
-      std::cout << "           >>> " << marks[next_mark].what << '\n';
-    ++next_mark;
-  }
-  std::cout << "\n" << marks.size() << " CS executions, " << shown
-            << " control messages shown (" << trace.events().size()
-            << " recorded).\n";
+  print_enters_until(std::numeric_limits<Time>::max());
+  std::cout << "\n" << enters.size() << " CS executions, " << shown
+            << " control messages shown (" << recorded << " recorded).\n";
   return 0;
 }
